@@ -15,7 +15,7 @@
    memoized in one shared bounded cache (they overlap massively across
    facts), the φ[μ:=0] polynomial recovered from the full count by the
    splitting identity rather than a second conditioning, and the Shapley
-   coefficients read off precomputed factorial tables.
+   coefficients read off a factorial table built on first use.
 
    At [jobs > 1] the per-fact conditioning step — embarrassingly parallel,
    every fact's work reading only the shared immutable φ and the full
@@ -48,7 +48,7 @@ type t = {
      first [update] (so one-shot engines keep their exporter output) *)
   phi : Bform.t;
   memo : Compile.Memo.t;
-  factorials : Bigint.t array; (* 0! .. n! *)
+  factorials : Bigint.t array Lazy.t; (* 0! .. n!, built by the first Claim A.1 use *)
   tel : Telemetry.t;
   compilations : Telemetry.Counter.t;
   conditionings : Telemetry.Counter.t;
@@ -140,7 +140,7 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
       (match memo with
        | Some m -> m
        | None -> Compile.Memo.create ~capacity:cache_capacity ());
-    factorials = Bigint.factorial_table n;
+    factorials = lazy (Bigint.factorial_table n);
     tel;
     compilations;
     conditionings;
@@ -362,6 +362,12 @@ let sample_values t cfg ~which =
   Array.to_list
     (Array.map (fun e -> (e.Sample.fact, e.Sample.value)) r.Sample.estimates)
 
+(* The factorial table, built on first use (the sample backend never
+   reads it) under its own span. *)
+let factorials t =
+  if Lazy.is_val t.factorials then Lazy.force t.factorials
+  else Telemetry.span t.tel "engine.factorials" (fun () -> Lazy.force t.factorials)
+
 (* Per-fact span; the attribute list is only built when someone will read
    it, so the disabled-tracer path stays allocation-free. *)
 let fact_span t mu f =
@@ -379,7 +385,7 @@ let svc t mu =
     let v =
       fact_span t mu (fun () ->
           let with_mu_exo, without_mu = polynomials t mu in
-          shapley_of_polynomials ~factorials:t.factorials ~with_mu_exo
+          shapley_of_polynomials ~factorials:(factorials t) ~with_mu_exo
             ~without_mu ~n:t.n)
     in
     t.eval_s <- t.eval_s +. (now () -. t0);
@@ -462,9 +468,12 @@ let batched_parallel t ~value_of =
   t.eval_s <- t.eval_s +. (now () -. t0);
   merged
 
-let shapley_value_of t ~with_mu_exo ~without_mu =
-  shapley_of_polynomials ~factorials:t.factorials ~with_mu_exo ~without_mu
-    ~n:t.n
+(* The table is forced here, in the calling domain, before any fan-out
+   worker reads it. *)
+let shapley_value_of t =
+  let factorials = factorials t in
+  fun ~with_mu_exo ~without_mu ->
+    shapley_of_polynomials ~factorials ~with_mu_exo ~without_mu ~n:t.n
 
 let banzhaf_value_of t ~with_mu_exo ~without_mu =
   let delta = Bigint.sub (Poly.Z.total with_mu_exo) (Poly.Z.total without_mu) in

@@ -14,7 +14,9 @@
       structurally-hashed cache ({!Compile.Memo}) — they overlap massively
       across facts;
     - the Shapley coefficients [j!(n-j-1)!/n!] read off a factorial table
-      precomputed once ({!Bigint.factorial_table}).
+      ({!Bigint.factorial_table}) built once, by the first exact Shapley
+      value, under an [engine.factorials] span; the sample backend never
+      builds it.
 
     {2 Parallelism}
 

@@ -4,57 +4,54 @@
 
 module Iset = Set.Make (Int)
 
+(* Every support the product-automaton walk from [src] to [dst] reaches,
+   handed to [record] once per time it is reached. *)
+let iter_rpq_supports (q : Rpq.t) (facts : Fact.Set.t) record =
+  let nfa = Nfa.of_regex (Rpq.lang q) and dst = Rpq.dst q in
+  (* indexed binary edges *)
+  let edges =
+    Fact.Set.fold
+      (fun f acc -> match Fact.args f with [ a; b ] -> (f, a, b) :: acc | _ -> acc)
+      facts []
+    |> Array.of_list
+  in
+  let out : (string, int list) Hashtbl.t = Hashtbl.create 16 in
+  Array.iteri
+    (fun i (_, a, _) ->
+       let prev = Option.value ~default:[] (Hashtbl.find_opt out a) in
+       Hashtbl.replace out a (i :: prev))
+    edges;
+  let support used =
+    Iset.fold (fun i acc -> let f, _, _ = edges.(i) in Fact.Set.add f acc) used Fact.Set.empty
+  in
+  (* DFS over (node, nfa-state-set); a pair (edge, state-set) may appear at
+     most once on the current branch: a repeat means an excisable loop, so
+     every minimal support is still reached. *)
+  let rec go node set used path =
+    if node = dst && Nfa.is_accepting nfa set then record (support used);
+    let succ = Option.value ~default:[] (Hashtbl.find_opt out node) in
+    List.iter
+      (fun i ->
+         let f, _, b = edges.(i) in
+         let set' = Nfa.step nfa set (Fact.rel f) in
+         if not (Nfa.is_empty_set set') then begin
+           let key = (i, Nfa.set_elements set') in
+           if not (List.mem key path) then
+             go b set' (Iset.add i used) (key :: path)
+         end)
+      succ
+  in
+  go (Rpq.src q) (Nfa.start nfa) Iset.empty []
+
+let nullable_loop q = Regex.nullable (Rpq.lang q) && Rpq.src q = Rpq.dst q
+
+(* Listed latest-first, the order this function has always had. *)
 let rpq_minimal_supports (q : Rpq.t) (facts : Fact.Set.t) : Fact.Set.t list =
-  let lang = Rpq.lang q and src = Rpq.src q and dst = Rpq.dst q in
-  if Regex.nullable lang && src = dst then [ Fact.Set.empty ]
+  if nullable_loop q then [ Fact.Set.empty ]
   else begin
-    let nfa = Nfa.of_regex lang in
-    (* indexed binary edges *)
-    let edges =
-      Fact.Set.fold
-        (fun f acc -> match Fact.args f with [ a; b ] -> (f, a, b) :: acc | _ -> acc)
-        facts []
-      |> Array.of_list
-    in
-    let out : (string, int list) Hashtbl.t = Hashtbl.create 16 in
-    Array.iteri
-      (fun i (_, a, _) ->
-         let prev = Option.value ~default:[] (Hashtbl.find_opt out a) in
-         Hashtbl.replace out a (i :: prev))
-      edges;
-    let results : Fact.Set.t list ref = ref [] in
-    let record used =
-      let support =
-        Iset.fold (fun i acc -> let f, _, _ = edges.(i) in Fact.Set.add f acc) used Fact.Set.empty
-      in
-      if not (List.exists (Fact.Set.equal support) !results) then
-        results := support :: !results
-    in
-    (* DFS over (node, nfa-state-set); a pair (edge, state-set) may appear at
-       most once on the current branch: a repeat means an excisable loop, so
-       every minimal support is still reached. *)
-    let rec go node set used path =
-      if node = dst && Nfa.is_accepting nfa set then record used;
-      let succ = Option.value ~default:[] (Hashtbl.find_opt out node) in
-      List.iter
-        (fun i ->
-           let f, _, b = edges.(i) in
-           let set' = Nfa.step nfa set (Fact.rel f) in
-           if not (Nfa.is_empty_set set') then begin
-             let key = (i, Nfa.set_elements set') in
-             if not (List.mem key path) then
-               go b set' (Iset.add i used) (key :: path)
-           end)
-        succ
-    in
-    go src (Nfa.start nfa) Iset.empty [];
-    (* keep only ⊆-minimal supports *)
-    let all = !results in
-    List.filter
-      (fun s ->
-         not
-           (List.exists (fun s' -> Fact.Set.subset s' s && not (Fact.Set.equal s' s)) all))
-      all
+    let reached = ref [] in
+    iter_rpq_supports q facts (fun s -> reached := s :: !reached);
+    List.rev (Homomorphism.minimal_sets (List.rev !reached))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -214,3 +211,20 @@ let rec lineage (q : Query.t) (db : Database.t) : Bform.t =
   | Query.Gcq g -> gcq_lineage g db
   | Query.And (a, b) -> Bform.conj [ lineage a db; lineage b db ]
   | Query.Or (a, b) -> Bform.disj [ lineage a db; lineage b db ]
+
+module For_tests = struct
+  let rpq_minimal_supports (q : Rpq.t) (facts : Fact.Set.t) : Fact.Set.t list =
+    if nullable_loop q then [ Fact.Set.empty ]
+    else begin
+      let results = ref [] in
+      iter_rpq_supports q facts (fun support ->
+          if not (List.exists (Fact.Set.equal support) !results) then
+            results := support :: !results);
+      let all = !results in
+      List.filter
+        (fun s ->
+           not
+             (List.exists (fun s' -> Fact.Set.subset s' s && not (Fact.Set.equal s' s)) all))
+        all
+    end
+end

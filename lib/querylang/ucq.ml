@@ -31,20 +31,13 @@ let reduce q =
 
 let is_connected q = List.for_all Cq.is_connected (reduce q)
 
+(* One pass over the images of all disjuncts: a set minimal among them
+   all is minimal within its own disjunct too.  The result lists the
+   supports latest-first, the order this function has always had. *)
 let minimal_supports_in q facts =
-  let all = List.concat_map (fun cq -> Cq.minimal_supports_in cq facts) q in
-  let distinct =
-    List.fold_left
-      (fun acc s -> if List.exists (Fact.Set.equal s) acc then acc else s :: acc)
-      [] all
-  in
-  List.filter
-    (fun s ->
-       not
-         (List.exists
-            (fun s' -> Fact.Set.subset s' s && not (Fact.Set.equal s' s))
-            distinct))
-    distinct
+  List.rev
+    (Homomorphism.minimal_sets
+       (List.concat_map (fun cq -> Homomorphism.all_images ~into:facts (Cq.atoms cq)) q))
 
 let canonical_supports q =
   List.map (fun cq -> fst (Cq.canonical_support cq)) (reduce q)
@@ -65,3 +58,24 @@ let parse s =
 
 let to_string q = String.concat " | " (List.map Cq.to_string q)
 let pp fmt q = Format.pp_print_string fmt (to_string q)
+
+module For_tests = struct
+  let minimal_supports_in q facts =
+    let all =
+      List.concat_map
+        (fun cq -> Homomorphism.For_tests.minimal_images ~into:facts (Cq.atoms cq))
+        q
+    in
+    let distinct =
+      List.fold_left
+        (fun acc s -> if List.exists (Fact.Set.equal s) acc then acc else s :: acc)
+        [] all
+    in
+    List.filter
+      (fun s ->
+         not
+           (List.exists
+              (fun s' -> Fact.Set.subset s' s && not (Fact.Set.equal s' s))
+              distinct))
+      distinct
+end

@@ -27,6 +27,9 @@ val reduce : t -> t
     are exactly the C-hom images of its disjuncts' canonical databases. *)
 
 val minimal_supports_in : t -> Fact.Set.t -> Fact.Set.t list
+(** The minimal supports of the union inside a fact set: one
+    {!Homomorphism.minimal_sets} pass over the images of every disjunct.
+    Listed latest-first: by the first image of each, last to first. *)
 
 val canonical_supports : t -> Fact.Set.t list
 (** One canonical (fresh-constant) minimal support per disjunct of the
@@ -42,3 +45,9 @@ val parse : string -> t
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
+
+module For_tests : sig
+  val minimal_supports_in : t -> Fact.Set.t -> Fact.Set.t list
+  (** The replaced reference: per-disjunct minimal images, then a list
+      dedup and an all-pairs filter. *)
+end

@@ -9,6 +9,7 @@ let () =
       ("linalg", Test_linalg.suite);
       ("relational", Test_relational.suite);
       ("homomorphism", Test_homomorphism.suite);
+      ("min-supports", Test_minimal_supports.suite);
       ("automata", Test_automata.suite);
       ("cq", Test_cq.suite);
       ("graph-queries", Test_graph_queries.suite);
