@@ -6,12 +6,11 @@
    Usage:
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- fig1a   # a single experiment
-     dune exec bench/main.exe -- --list  # available experiment ids
-     dune exec bench/main.exe -- --jobs 4 engine   # engine on 4 domains *)
+     dune exec bench/main.exe -- --list  # available experiment ids *)
 
 let rounds = 12
 
-let experiments ~jobs : (string * (unit -> bool)) list =
+let experiments : (string * (unit -> bool)) list =
   [
     ("fig1a", Exp_fig1.fig1a ~rounds);
     ("fig1b", Exp_fig1.fig1b);
@@ -31,8 +30,7 @@ let experiments ~jobs : (string * (unit -> bool)) list =
     ("exe1", Exp_discussion.exe1);
     ("scale", Exp_scale.scale);
     ("sample", Exp_scale.sample);
-    ("engine", Exp_engine.engine ~jobs);
-    ("parallel", Exp_parallel.parallel);
+    ("engine", Exp_engine.engine);
     ("circuit", Exp_circuit.circuit);
     ("red_scale", Exp_scale.reduction_scaling);
     ("ablate_compile", Exp_scale.ablate_compile);
@@ -45,25 +43,7 @@ let experiments ~jobs : (string * (unit -> bool)) list =
   ]
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  (* --jobs N applies to the experiments that evaluate through the batched
-     engine (currently: engine); 0 = one domain per available core. *)
-  let rec extract_jobs acc = function
-    | [] -> (List.rev acc, 1)
-    | "--jobs" :: n :: rest ->
-      let jobs =
-        match int_of_string_opt n with
-        | Some j when j >= 0 -> if j = 0 then Pool.recommended_domains () else j
-        | _ ->
-          Printf.eprintf "bench: --jobs needs an integer >= 0, got %S\n" n;
-          exit 2
-      in
-      (List.rev_append acc rest, jobs)
-    | a :: rest -> extract_jobs (a :: acc) rest
-  in
-  let args, jobs = extract_jobs [] args in
-  let experiments = experiments ~jobs in
-  match args with
+  match Array.to_list Sys.argv |> List.tl with
   | [ "--list" ] ->
     List.iter (fun (id, _) -> print_endline id) experiments
   | [] ->

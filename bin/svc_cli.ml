@@ -54,23 +54,14 @@ let eval_cmd =
     Arg.(value & opt (some int) None & info [ "cache-capacity" ] ~docv:"N"
            ~doc:"Bound the shared memo cache to $(docv) entries.")
   in
-  let jobs_arg =
-    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Evaluate facts on $(docv) parallel domains (default 1 = \
-                 serial, 0 = one per available core).  Values and order are \
-                 identical for every $(docv).")
-  in
   let backend_arg =
     Arg.(value & opt string "auto" & info [ "backend" ] ~docv:"BACKEND"
-           ~doc:"Evaluation backend: $(b,conditioning) (one conditioned \
-                 count per fact), $(b,circuit) (one d-DNNF compilation, \
-                 every fact read off a single traversal pair), $(b,auto) \
-                 (default: the compilation planner predicts the circuit \
-                 size from the lineage's induced width and picks the \
-                 cheaper backend), $(b,auto-legacy) (the pre-planner \
-                 fact-count rule), or $(b,sample) (seeded anytime \
-                 estimation with rational confidence intervals — the \
-                 only approximate backend, never auto-selected; see \
+           ~doc:"Evaluation backend: $(b,auto) (default) and $(b,circuit) \
+                 (one d-DNNF compilation, every fact read off a single \
+                 traversal pair), $(b,conditioning) (the serial reference: \
+                 one conditioned count per fact), or $(b,sample) (seeded \
+                 anytime estimation with rational confidence intervals — \
+                 the only approximate backend, never auto-selected; see \
                  $(b,--seed), $(b,--epsilon), $(b,--max-draws), \
                  $(b,--strategy)).  The exact backends produce identical \
                  values for every choice.")
@@ -78,7 +69,7 @@ let eval_cmd =
   let seed_arg =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N"
            ~doc:"Sampling backend: master PRNG seed (default 0).  Same \
-                 seed, bit-identical estimates — at any $(b,--jobs).")
+                 seed, bit-identical estimates.")
   in
   let epsilon_arg =
     Arg.(value & opt string "1/20" & info [ "epsilon" ] ~docv:"E"
@@ -112,20 +103,13 @@ let eval_cmd =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
            ~doc:"Record the run's telemetry spans and write a Chrome \
                  trace_event JSON file to $(docv) (loadable in Perfetto / \
-                 about:tracing; at $(b,--jobs) N each worker domain gets \
-                 its own trace lane).  Inspect it with \
-                 $(b,svc trace summary).")
+                 about:tracing).  Inspect it with $(b,svc trace summary).")
   in
-  let run db_path query_str stats cache_capacity jobs backend seed epsilon
+  let run db_path query_str stats cache_capacity backend seed epsilon
       max_draws strategy show_plan trace =
-    if jobs < 0 then begin
-      Printf.eprintf "svc eval: --jobs must be >= 0 (got %d)\n" jobs;
-      exit 2
-    end;
     let backend =
       match backend with
       | "auto" -> `Auto
-      | "auto-legacy" -> `AutoLegacy
       | "conditioning" -> `Conditioning
       | "circuit" -> `Circuit
       | "sample" ->
@@ -160,28 +144,15 @@ let eval_cmd =
         `Sample (Sample.config ~strategy ~seed ~epsilon ~max_draws ())
       | other ->
         Printf.eprintf
-          "svc eval: unknown backend %S (expected auto, auto-legacy, \
-           conditioning, circuit or sample)\n"
+          "svc eval: unknown backend %S (expected auto, conditioning, \
+           circuit or sample)\n"
           other;
         exit 2
     in
     let db = load_db db_path in
     let q = parse_query query_str in
     let tel = Telemetry.create ~enabled:(trace <> None) () in
-    let e = Engine.create ~tel ?cache_capacity ~jobs ~backend q db in
-    let n_facts = Database.size_endo db in
-    (match (backend, Engine.auto_selected e, Engine.plan e) with
-     | `AutoLegacy, true, _ ->
-       (* the historical note, verbatim *)
-       Printf.printf
-         "note: auto-selected circuit backend (%d endogenous facts >= %d); \
-          --backend overrides\n"
-         n_facts Engine.circuit_threshold
-     | `Auto, true, Some pl ->
-       Printf.printf
-         "note: auto-selected circuit backend (%s); --backend overrides\n"
-         (Plan.recommend_reason pl ~n_facts)
-     | _ -> ());
+    let e = Engine.create ~tel ?cache_capacity ~backend q db in
     if show_plan then begin
       let phi = Engine.lineage e in
       let pl =
@@ -223,11 +194,11 @@ let eval_cmd =
   in
   let doc =
     "Shapley value of every endogenous fact through the batched memoizing \
-     engine (one lineage compilation, then per-fact conditioning or a \
-     single d-DNNF circuit evaluation), with optional instrumentation."
+     engine (one lineage compilation, then a single d-DNNF circuit \
+     evaluation), with optional instrumentation."
   in
   Cmd.v (Cmd.info "eval" ~doc)
-    Term.(const run $ db_arg $ query_arg 1 $ stats_arg $ cache_arg $ jobs_arg
+    Term.(const run $ db_arg $ query_arg 1 $ stats_arg $ cache_arg
           $ backend_arg $ seed_arg $ epsilon_arg $ max_draws_arg
           $ strategy_arg $ plan_flag $ trace_arg)
 
@@ -267,32 +238,22 @@ let plan_cmd =
         Printf.eprintf "svc plan: certificate verification FAILED: %s\n" msg;
         exit 1
     in
-    let backend =
-      match Plan.recommend pl ~n_facts with
-      | `Circuit -> "circuit"
-      | `Conditioning -> "conditioning"
-    in
     match format with
     | `Json ->
-      Printf.printf
-        "{\"query\":%S,\"n_facts\":%d,\"plan\":%s,\"certificate\":%S,\
-         \"recommended_backend\":%S}\n"
-        (Query.to_string q) n_facts (Plan.to_json pl) cert backend
+      Printf.printf "{\"query\":%S,\"n_facts\":%d,\"plan\":%s,\"certificate\":%S}\n"
+        (Query.to_string q) n_facts (Plan.to_json pl) cert
     | `Text ->
       Printf.printf "query   : %s\n" (Query.to_string q);
       Printf.printf "lineage : %d nodes over %d fact variables\n"
         (Bform.size phi) pl.Plan.n_vars;
       print_string (Plan.to_string pl);
-      Printf.printf "certificate : %s\n" cert;
-      Printf.printf "recommended backend : %s (%s)\n" backend
-        (Plan.recommend_reason pl ~n_facts)
+      Printf.printf "certificate : %s\n" cert
   in
   let doc =
     "Static compilation plan for a (query, database) pair: AND-components \
      of the lineage's co-occurrence graph, per-component elimination \
-     orders and induced widths, predicted circuit size, and the backend \
-     the engine's $(b,auto) mode would pick — with the plan certificate \
-     re-verified by the independent checker."
+     orders and induced widths, and predicted circuit size — with the \
+     plan certificate re-verified by the independent checker."
   in
   Cmd.v (Cmd.info "plan" ~doc)
     Term.(const run $ db_arg $ query_arg 1 $ heuristic_arg $ format_arg)
@@ -689,10 +650,6 @@ let serve_cmd =
     Arg.(value & opt int Server.default_capacity
          & info [ "cache-capacity" ] ~docv:"N" ~doc)
   in
-  let jobs_arg =
-    let doc = "Worker domains per engine evaluation (0 = recommended)." in
-    Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc)
-  in
   let max_frame_arg =
     let doc = "Largest accepted frame payload, in bytes." in
     Arg.(value & opt int Frame.default_max_len
@@ -713,7 +670,7 @@ let serve_cmd =
     in
     Arg.(value & flag & info [ "fake-clock" ] ~doc)
   in
-  let run dbs capacity jobs max_frame journal fake_clock =
+  let run dbs capacity max_frame journal fake_clock =
     let tel, on_frame =
       if fake_clock then begin
         let clock, advance = Telemetry.Clock.fake () in
@@ -723,7 +680,7 @@ let serve_cmd =
     in
     let server =
       try
-        Server.create ~tel ~capacity ~max_frame ~journal_limit:journal ~jobs ()
+        Server.create ~tel ~capacity ~max_frame ~journal_limit:journal ()
       with Invalid_argument msg ->
         Printf.eprintf "svc serve: %s\n" msg;
         exit 2
@@ -764,7 +721,7 @@ let serve_cmd =
      see README.md for the protocol reference."
   in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const run $ db_args $ capacity_arg $ jobs_arg $ max_frame_arg
+    Term.(const run $ db_args $ capacity_arg $ max_frame_arg
           $ journal_arg $ fake_clock_arg)
 
 let client_cmd =

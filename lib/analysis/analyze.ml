@@ -422,9 +422,8 @@ let pair (q : Query.t) (db : Database.t) : Diagnostic.t list =
       | Classify.FP -> []
       | v ->
         let verdict = Classify.verdict_to_string v in
-        (* the compilation planner refines the raw 2^n bound: a
-           width-bounded plan means the circuit backend stays tractable
-           despite the hardness verdict *)
+        (* the compilation planner's estimate beside the raw 2^n: an
+           estimate, not a bound — real circuits can exceed it *)
         let plan =
           try Some (Plan.analyze (Lineage.lineage q db))
           with Invalid_argument _ | Failure _ -> None
@@ -433,14 +432,10 @@ let pair (q : Query.t) (db : Database.t) : Diagnostic.t list =
         let refinement =
           match plan with
           | None -> ""
-          | Some p when p.Plan.predicted_nodes <= Plan.circuit_node_budget ->
-            Printf.sprintf
-              "; a width-%d compilation plan bounds the circuit backend at \
-               %d nodes" p.Plan.max_width p.Plan.predicted_nodes
           | Some p ->
             Printf.sprintf
-              "; the best compilation plan found has induced width %d \
-               (%d predicted nodes)" p.Plan.max_width p.Plan.predicted_nodes
+              "; the compilation plan has induced width %d and predicts ~%d \
+               circuit nodes" p.Plan.max_width p.Plan.predicted_nodes
         in
         [ warning "X203"
             ~certificate:(Blowup { verdict; n_endo = n; plan_width })

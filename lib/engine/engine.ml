@@ -8,41 +8,29 @@
      lineage(q, (Dₙ∖μ, Dₓ∪μ)) ≡ φ[μ := 1]
      lineage(q, (Dₙ∖μ, Dₓ))   ≡ φ[μ := 0]      where φ = lineage(q, D),
 
-   and the size-generating polynomial depends only on the Boolean function,
-   so conditioning the one shared compiled form is exact.  The engine
-   therefore compiles φ once per (query, database) and answers every
-   per-fact query by conditioning, with all conditioned sub-formulas
-   memoized in one shared bounded cache (they overlap massively across
-   facts), the φ[μ:=0] polynomial recovered from the full count by the
-   splitting identity rather than a second conditioning, and the Shapley
-   coefficients read off a factorial table built on first use.
-
-   At [jobs > 1] the per-fact conditioning step — embarrassingly parallel,
-   every fact's work reading only the shared immutable φ and the full
-   polynomial — fans out across [jobs] domains through [Pool].  The fact
-   array is cut into [jobs] static slices; slot i always evaluates slice i
-   with its own private [Compile.Memo] (a Memo is an unsynchronized
-   Hashtbl, so it must never be mutated from two domains), and each
-   result lands at its original index, so values and order are
-   bit-identical for every jobs count. *)
+   and the size-generating polynomial depends only on the Boolean function.
+   The engine therefore compiles φ once per (query, database) and reads
+   every fact's φ[μ:=1] polynomial off one d-DNNF circuit (one bottom-up
+   and one top-down traversal); the φ[μ:=0] polynomial is recovered from
+   the full count by the splitting identity, and the Shapley coefficients
+   are read off a factorial table built on first use.  The explicitly
+   requested conditioning backend instead conditions φ once per fact,
+   with all conditioned sub-formulas memoized in one shared bounded
+   cache — the serial reference the circuit is checked against. *)
 
 let now = Unix.gettimeofday
 
-type backend =
-  [ `Auto | `AutoLegacy | `Conditioning | `Circuit | `Sample of Sample.config ]
+type backend = [ `Auto | `Conditioning | `Circuit | `Sample of Sample.config ]
 
 type t = {
   query : Query.t;
   db : Database.t;
   players : Fact.t array;
   n : int;
-  jobs : int;
   cache_capacity : int;
-  requested : backend; (* as asked — re-resolved after a delta update *)
   backend : [ `Conditioning | `Circuit | `Sample of Sample.config ];
   (* resolved *)
-  auto_selected : bool; (* resolution picked `Circuit without being asked *)
-  plan : Plan.t option; (* the compilation plan that steered resolution *)
+  plan : Plan.t option; (* steers the circuit compilation *)
   session : Circuit.Session.t option;
   (* shared compilation arena across delta updates; [None] until the
      first [update] (so one-shot engines keep their exporter output) *)
@@ -53,7 +41,6 @@ type t = {
   compilations : Telemetry.Counter.t;
   conditionings : Telemetry.Counter.t;
   mutable full : Poly.Z.t option; (* count of phi over all n players *)
-  mutable par : Stats.domain_stat array; (* last batched parallel run *)
   mutable compile_s : float;
   mutable eval_s : float;
   mutable circuit : Circuit.t option; (* compiled on first circuit answer *)
@@ -66,20 +53,13 @@ type t = {
 
 let default_cache_capacity = 1 lsl 20
 
-(* The historical `Auto rule, kept verbatim behind `AutoLegacy: at this
-   many endogenous facts the n conditionings of a batched run are
-   expected to lose to one circuit compilation + two traversals.  The
-   default `Auto now asks the compilation planner instead — it predicts
-   the circuit size from the lineage's induced width, so a 24-fact
-   instance with a dense co-occurrence graph no longer gets pushed into
-   a blowing-up compilation.  Either way only the serial path
-   auto-switches: the circuit evaluator is a whole-universe pass with
-   nothing per-fact to fan out, so at jobs > 1 the user's ask for
-   parallel conditioning wins. *)
-let circuit_threshold = 24
-
-let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
-    db =
+let make ~tel ~cache_capacity ~backend ~memo ~session ~prev_plan query db =
+  let backend =
+    match backend with
+    | `Auto | `Circuit -> `Circuit
+    | `Conditioning -> `Conditioning
+    | `Sample cfg -> Sample.validate cfg; `Sample cfg
+  in
   (* registered here, in this order: record-field evaluation order is
      unspecified, and the registry's registration order is user-visible
      in exporter output *)
@@ -91,48 +71,25 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
   let compile_s = now () -. t0 in
   let players = Array.of_list (Database.endo_list db) in
   let n = Array.length players in
-  (* The plan is computed exactly when something will read it: to steer
-     an explicit circuit compilation, or to resolve a serial `Auto.  A
-     parallel `Auto never plans, so jobs > 1 runs are span-for-span
-     identical to the pre-planner engine.  After a delta update the
-     previous plan seeds a component-local replan instead of a fresh
-     analysis. *)
-  let analyze () =
-    match prev_plan with
-    | Some previous -> fst (Plan.replan ~tel ~previous phi)
-    | None -> Plan.analyze ~tel phi
-  in
+  (* The plan steers the circuit compilation's branch order.  After a
+     delta update the previous plan seeds a component-local replan
+     instead of a fresh analysis. *)
   let plan =
-    match requested with
-    | `Circuit -> Some (analyze ())
-    | `Auto when jobs = 1 -> Some (analyze ())
-    | `Auto | `AutoLegacy | `Conditioning | `Sample _ -> None
-  in
-  let resolved, auto_selected =
-    match requested with
-    | `Conditioning -> (`Conditioning, false)
-    | `Circuit -> (`Circuit, false)
-    (* never auto-selected: an approximate answer must be asked for *)
-    | `Sample cfg -> Sample.validate cfg; (`Sample cfg, false)
-    | `AutoLegacy ->
-      if jobs = 1 && n >= circuit_threshold then (`Circuit, true)
-      else (`Conditioning, false)
-    | `Auto ->
-      (match plan with
-       | Some pl when Plan.recommend pl ~n_facts:n = `Circuit ->
-         (`Circuit, true)
-       | _ -> (`Conditioning, false))
+    match backend with
+    | `Circuit ->
+      Some
+        (match prev_plan with
+         | Some previous -> fst (Plan.replan ~tel ~previous phi)
+         | None -> Plan.analyze ~tel phi)
+    | `Conditioning | `Sample _ -> None
   in
   {
     query;
     db;
     players;
     n;
-    jobs;
     cache_capacity;
-    requested;
-    backend = resolved;
-    auto_selected;
+    backend;
     plan;
     session;
     phi;
@@ -145,7 +102,6 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
     compilations;
     conditionings;
     full = None;
-    par = [||];
     compile_s;
     eval_s = 0.;
     circuit = None;
@@ -157,14 +113,9 @@ let make ~tel ~cache_capacity ~jobs ~requested ~memo ~session ~prev_plan query
   }
 
 let create ?(tel = Telemetry.disabled ()) ?(cache_capacity = default_cache_capacity)
-    ?(jobs = 1) ?(backend = `Auto) query db =
-  let jobs =
-    if jobs < 0 then invalid_arg "Engine.create: jobs must be >= 0"
-    else if jobs = 0 then Pool.recommended_domains ()
-    else jobs
-  in
-  make ~tel ~cache_capacity ~jobs ~requested:backend ~memo:None ~session:None
-    ~prev_plan:None query db
+    ?(backend = `Auto) query db =
+  make ~tel ~cache_capacity ~backend ~memo:None ~session:None ~prev_plan:None
+    query db
 
 type change = [ `Insert of [ `Endo | `Exo ] * Fact.t | `Delete of Fact.t ]
 
@@ -204,17 +155,14 @@ let update t change =
        | None -> ());
       s
   in
-  make ~tel:t.tel ~cache_capacity:t.cache_capacity ~jobs:t.jobs
-    ~requested:t.requested ~memo:(Some t.memo) ~session:(Some session)
-    ~prev_plan:t.plan t.query db
+  make ~tel:t.tel ~cache_capacity:t.cache_capacity
+    ~backend:(t.backend :> backend) ~memo:(Some t.memo)
+    ~session:(Some session) ~prev_plan:t.plan t.query db
 
 let query t = t.query
 let database t = t.db
 let lineage t = t.phi
-let jobs t = t.jobs
 let backend t = t.backend
-let requested_backend t = t.requested
-let auto_selected t = t.auto_selected
 let plan t = t.plan
 
 let circuit_reused_nodes t =
@@ -322,9 +270,7 @@ let polynomials t mu =
 
 (* The sample backend: one anytime estimation pass answers every fact at
    once (Shapley and Banzhaf reports cached independently).  The run is a
-   deterministic function of (lineage, universe, config) — in particular
-   [jobs] plays no part, so values are bit-identical at every jobs count
-   by construction rather than by a parallel-merge argument. *)
+   deterministic function of (lineage, universe, config). *)
 let sample_run t cfg ~which =
   let cached =
     match which with
@@ -391,90 +337,6 @@ let svc t mu =
     t.eval_s <- t.eval_s +. (now () -. t0);
     v
 
-(* The parallel batched path: fan the per-fact conditioning out across
-   [t.jobs] domains.  Slot i owns the static slice [i·n/jobs, (i+1)·n/jobs)
-   of the fact array and a private memo cache; the pool decides which
-   domain runs which slot (stealing slots off slow siblings), which can
-   change the steal counters but — by slice/cache ownership — never the
-   per-slot counters, let alone a value.  Workers touch no engine state:
-   they read the immutable φ, players and full polynomial, and everything
-   mutable is merged in the calling domain after the join. *)
-let batched_parallel t ~value_of =
-  let t0 = now () in
-  let full = full_polynomial t in
-  let n = t.n and jobs = t.jobs in
-  let all_players = Array.to_list t.players in
-  (* One trace track per worker slot: slice spans land on the lane of the
-     slot that owns them, giving the Chrome view one row per domain.
-     Forked here (the owning domain), handed to exactly one worker each,
-     joined back after the pool's own Domain.joins. *)
-  let slot_tels =
-    Array.init jobs (fun slot ->
-        Telemetry.fork t.tel ~track:(slot + 1)
-          ~name:(Printf.sprintf "domain %d" slot))
-  in
-  let evaluate_slot slot =
-    let lo = slot * n / jobs and hi = (slot + 1) * n / jobs in
-    let stel = slot_tels.(slot) in
-    Telemetry.span stel
-      ~attrs:
-        (if Telemetry.enabled stel then
-           [ ("slot", string_of_int slot);
-             ("facts", string_of_int (hi - lo)) ]
-         else [])
-      "engine.slice"
-    @@ fun () ->
-    (* Warm-start the private cache from the engine's shared one, which
-       already holds every sub-result of the full polynomial and is
-       read-only for the duration of the fan-out (copying is sound from
-       any domain while nobody mutates the source).  Cold caches would
-       redo the shared prefix of the work once per domain — measured at
-       ~2x total compute on the bipartite family, i.e. half the speedup
-       gone. *)
-    let memo = Compile.Memo.copy t.memo in
-    let values =
-      Array.init (hi - lo) (fun k ->
-          let mu = t.players.(lo + k) in
-          let universe =
-            List.filter (fun f -> not (Fact.equal f mu)) all_players
-          in
-          let with_mu_exo =
-            Compile.size_polynomial_with ~memo ~universe
-              (Bform.condition mu true t.phi)
-          in
-          let without_mu = Poly.Z.sub full (Poly.Z.shift 1 with_mu_exo) in
-          (mu, value_of ~with_mu_exo ~without_mu))
-    in
-    (values, hi - lo, Compile.Memo.hits memo, Compile.Memo.misses memo)
-  in
-  let pool = Pool.create ~domains:jobs in
-  let slots, pool_stats =
-    Pool.map_stats ~chunk:1 pool evaluate_slot (Array.init jobs Fun.id)
-  in
-  Array.iter (fun stel -> Telemetry.join t.tel stel) slot_tels;
-  Telemetry.Counter.add t.conditionings n;
-  let merged =
-    Telemetry.span t.tel "engine.merge" (fun () ->
-        t.par <-
-          Array.mapi
-            (fun i (_, facts, hits, misses) ->
-               { Stats.d_facts = facts; d_hits = hits; d_misses = misses;
-                 d_steals = pool_stats.Pool.steals.(i) })
-            slots;
-        Array.to_list
-          (Array.concat
-             (List.map (fun (vs, _, _, _) -> vs) (Array.to_list slots))))
-  in
-  t.eval_s <- t.eval_s +. (now () -. t0);
-  merged
-
-(* The table is forced here, in the calling domain, before any fan-out
-   worker reads it. *)
-let shapley_value_of t =
-  let factorials = factorials t in
-  fun ~with_mu_exo ~without_mu ->
-    shapley_of_polynomials ~factorials ~with_mu_exo ~without_mu ~n:t.n
-
 let banzhaf_value_of t ~with_mu_exo ~without_mu =
   let delta = Bigint.sub (Poly.Z.total with_mu_exo) (Poly.Z.total without_mu) in
   Rational.make delta (Bigint.pow Bigint.two (t.n - 1))
@@ -483,8 +345,6 @@ let svc_all t =
   Telemetry.span t.tel "engine.eval" @@ fun () ->
   match t.backend with
   | `Sample cfg -> sample_values t cfg ~which:`Shapley
-  | `Conditioning when t.jobs > 1 ->
-    batched_parallel t ~value_of:(shapley_value_of t)
   | `Conditioning | `Circuit ->
     Array.to_list (Array.map (fun f -> (f, svc t f)) t.players)
 
@@ -507,8 +367,6 @@ let banzhaf_all t =
   Telemetry.span t.tel "engine.eval" @@ fun () ->
   match t.backend with
   | `Sample cfg -> sample_values t cfg ~which:`Banzhaf
-  | `Conditioning when t.jobs > 1 ->
-    batched_parallel t ~value_of:(banzhaf_value_of t)
   | `Conditioning | `Circuit ->
     Array.to_list (Array.map (fun f -> (f, banzhaf t f)) t.players)
 
@@ -553,8 +411,6 @@ let stats t =
     cache_capacity = Compile.Memo.capacity t.memo;
     cache_drops = Compile.Memo.drops t.memo;
     poly_ops = Compile.Memo.poly_ops t.memo;
-    jobs = t.jobs;
-    domains = t.par;
     compile_s = t.compile_s;
     eval_s = t.eval_s;
     backend = (match t.backend with

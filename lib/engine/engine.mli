@@ -4,39 +4,14 @@
     does [2n] full lineage compilations of the same query.  This engine
     compiles the lineage {e once} per (query, database) and derives each
     fact's two FGMC generating polynomials from the shared compiled form:
-    [φ[μ:=1]] by {e conditioning} (exact because the size-generating
-    polynomial depends only on the Boolean function), and [φ[μ:=0]] for
-    free from the splitting identity
+    [φ[μ:=1]] read off one compiled d-DNNF circuit ({!Circuit}: one
+    bottom-up and one top-down traversal answer every fact), and
+    [φ[μ:=0]] for free from the splitting identity
     [C(φ) = z·C(φ[μ:=1]) + C(φ[μ:=0])] against the full count [C(φ)]
-    computed once.  Additionally:
-
-    - all conditioned sub-formulas memoized in one shared, bounded,
-      structurally-hashed cache ({!Compile.Memo}) — they overlap massively
-      across facts;
-    - the Shapley coefficients [j!(n-j-1)!/n!] read off a factorial table
-      ({!Bigint.factorial_table}) built once, by the first exact Shapley
-      value, under an [engine.factorials] span; the sample backend never
-      builds it.
-
-    {2 Parallelism}
-
-    The per-fact conditioning step is embarrassingly parallel — every
-    fact's polynomial reads only the shared immutable lineage and the
-    full count — so at [jobs > 1] the batched entry points
-    ({!svc_all}, {!banzhaf_all}) fan it out across [jobs] stdlib domains
-    through {!Pool}.
-
-    {b Cache-ownership invariant:} a {!Compile.Memo} is an
-    unsynchronized [Hashtbl] and must never be mutated from two domains.
-    The engine's own shared cache is therefore used only from the
-    calling domain (the serial path, the full polynomial, per-fact
-    {!svc}/{!banzhaf} calls); a parallel batched run gives each worker
-    slot a {e private} cache of the same capacity, created and dropped
-    inside the run.  Worker slots own static slices of the fact array
-    ([slot i] evaluates facts [i·n/jobs, (i+1)·n/jobs)) and each result
-    is written back at the fact's original index, so output order and
-    values are bit-identical for every [jobs] — only wall clock and the
-    scheduling counters ({!Stats.domain_stat}) can differ.
+    computed once.  The Shapley coefficients [j!(n-j-1)!/n!] are read
+    off a factorial table ({!Bigint.factorial_table}) built once, by the
+    first exact Shapley value, under an [engine.factorials] span; the
+    sample backend never builds it.
 
     Every call is instrumented; see {!Stats}. *)
 
@@ -44,52 +19,38 @@ type t
 (** A compiled engine for one (query, database) pair.  Mutable only in its
     instrumentation and cache; all answers are deterministic. *)
 
-type backend =
-  [ `Auto | `AutoLegacy | `Conditioning | `Circuit | `Sample of Sample.config ]
+type backend = [ `Auto | `Conditioning | `Circuit | `Sample of Sample.config ]
 (** The evaluation strategy for batched answers:
 
-    - [`Conditioning]: the PR-3 path — one conditioned size-polynomial
-      count per fact against the shared memo cache (parallelizable);
-    - [`Circuit]: compile the lineage once into a smoothed deterministic
-      decomposable NNF circuit ({!Circuit}) and read {e every} fact's
-      polynomial off it with one bottom-up + one top-down traversal — no
-      per-fact conditioning at all;
-    - [`Auto] (the default): cost-based.  A serial instance is analyzed
-      by the compilation planner ({!Plan.analyze}) and gets [`Circuit]
-      exactly when {!Plan.recommend} predicts the compiled circuit fits
-      the node budget (the prediction comes from the lineage's induced
-      width, so dense co-occurrence graphs fall back to conditioning no
-      matter how many facts they have); [`Conditioning] at [jobs > 1];
-    - [`AutoLegacy]: the pre-planner rule, kept for comparison —
-      [`Circuit] iff serial and at least {!circuit_threshold}
-      endogenous facts, no width analysis;
+    - [`Auto] (the default) and [`Circuit]: compile the lineage once
+      into a smoothed deterministic decomposable NNF circuit
+      ({!Circuit}), its branch order steered by the compilation planner
+      ({!Plan.analyze}), and read {e every} fact's polynomial off it
+      with one bottom-up + one top-down traversal — no per-fact
+      conditioning at all.  [`Auto] resolves to [`Circuit] for every
+      instance;
+    - [`Conditioning]: the serial reference backend, only when asked
+      for — one conditioned size-polynomial count per fact against the
+      shared memo cache ({!Compile.Memo});
     - [`Sample cfg]: the anytime sampling estimator ({!Sample}) — the
       only {e approximate} backend, and therefore never auto-selected:
       every answer carries a seeded-deterministic estimate whose
       confidence interval is reported through {!stats}
       ([sample_*] fields) and {!Sample.report}.  [svc]/[svc_all] and
       [banzhaf]/[banzhaf_all] run (and cache) one estimation pass each;
-      {!fgmc_polynomial} stays exact via the conditioning path.  [jobs]
-      does not affect the values (the estimator is a pure function of
-      the seed).
+      {!fgmc_polynomial} stays exact via the conditioning path.
 
     The exact backends return bit-identical values in the same order. *)
 
-val circuit_threshold : int
-(** Endogenous-fact count at which [`AutoLegacy] switches to
-    [`Circuit]. *)
-
 val create :
-  ?tel:Telemetry.t -> ?cache_capacity:int -> ?jobs:int -> ?backend:backend ->
+  ?tel:Telemetry.t -> ?cache_capacity:int -> ?backend:backend ->
   Query.t -> Database.t -> t
 (** Compiles the lineage (the single compilation of the engine's life).
     [cache_capacity] bounds the number of memoized sub-formulas (default
     [2{^20}]; results past the bound are recomputed, never wrong) — under
-    [`Circuit] the same bound applies to the circuit compiler's
-    formula→node cache.  [jobs] sets the worker-domain count for batched
-    runs: default [1] (fully serial, no domain ever spawned), [0] resolves
-    to {!Pool.recommended_domains}; the circuit backend is always serial.
-    [backend] selects the evaluation strategy (default [`Auto]).
+    the circuit backend the same bound applies to the circuit compiler's
+    formula→node cache.  [backend] selects the evaluation strategy
+    (default [`Auto]).
 
     [tel] (default: a private disabled tracer, making every span a free
     no-op) hosts the engine's whole instrumentation: the
@@ -97,12 +58,9 @@ val create :
     registry — {!stats} is a projection of it, not a separate record —
     and, when enabled, the run is recorded as spans: [engine.lineage]
     (the one compilation), [engine.eval] per batched entry point,
-    [engine.full] (the unconditioned polynomial), [engine.fact] per
-    fact on the serial path, [engine.slice] per worker slot on track
-    [slot + 1] at [jobs > 1] (one Chrome lane per domain), and
-    [engine.merge] for the deterministic merge; the circuit backend adds
-    {!Circuit}'s [circuit.*] spans, counters and gauges.
-    @raise Invalid_argument if [jobs < 0]. *)
+    [engine.full] (the unconditioned polynomial under conditioning),
+    and [engine.fact] per fact; the circuit backend adds {!Plan}'s
+    [plan.*] and {!Circuit}'s [circuit.*] spans, counters and gauges. *)
 
 type change = [ `Insert of [ `Endo | `Exo ] * Fact.t | `Delete of Fact.t ]
 (** A single-fact delta against the engine's database: insert a fresh
@@ -127,9 +85,8 @@ val update : t -> change -> t
 
     The original engine stays fully usable (its answers still describe
     the old database).  Per-answer caches (full polynomial, circuit
-    evaluation, sample reports) start cold in the new engine; the
-    backend is re-resolved from the originally requested one, so an
-    [`Auto] engine may flip strategy as the instance grows or shrinks.
+    evaluation, sample reports) start cold in the new engine, which
+    keeps the resolved backend.
     Runs in an [engine.update] span and bumps the [engine.updates]
     counter (registered on first use).
     @raise Invalid_argument on inserting a present fact or deleting an
@@ -137,10 +94,6 @@ val update : t -> change -> t
 
 val backend : t -> [ `Conditioning | `Circuit | `Sample of Sample.config ]
 (** The resolved backend. *)
-
-val requested_backend : t -> backend
-(** The backend as originally asked of {!create} (what {!update}
-    re-resolves). *)
 
 val circuit_reused_nodes : t -> int
 (** {!Circuit.reused_nodes} of the engine's compiled circuit: nodes
@@ -155,46 +108,38 @@ val sample_report : t -> Sample.report option
     Carries per-fact confidence intervals, draw counts and convergence
     flags — the data behind the [sample_*] fields of {!stats}. *)
 
-val auto_selected : t -> bool
-(** [true] iff [`Auto]/[`AutoLegacy] resolution picked the circuit
-    backend (lets the CLI announce the switch). *)
-
 val plan : t -> Plan.t option
-(** The compilation plan computed at {!create} time: present for an
-    explicit [`Circuit] backend and for a serial [`Auto] (where it
-    decided the resolution and will steer any circuit compilation);
-    absent for [`Conditioning], [`AutoLegacy] and parallel [`Auto]
-    engines. *)
+(** The compilation plan computed at {!create} time to steer the
+    circuit compilation: present exactly when the resolved backend is
+    [`Circuit]. *)
 
 val query : t -> Query.t
 val database : t -> Database.t
-
-val jobs : t -> int
-(** The resolved worker count ([>= 1]). *)
 
 val lineage : t -> Bform.t
 (** The shared compiled lineage [φ]. *)
 
 val svc : t -> Fact.t -> Rational.t
-(** Shapley value by conditioning the shared lineage (Claim A.1).
+(** Shapley value (Claim A.1) from the resolved backend's polynomials of
+    the shared lineage.
     @raise Invalid_argument if the fact is not endogenous. *)
 
 val svc_all : t -> (Fact.t * Rational.t) list
-(** Shapley values of all endogenous facts — one lineage compilation
-    total, [n + 1] conditioned counts (the full polynomial once, then one
-    conditioning per fact).  At [jobs > 1] the per-fact conditionings run
-    on [jobs] domains with private caches and a deterministic merge; the
-    result is identical to the [jobs = 1] output, in the same order. *)
+(** Shapley values of all endogenous facts, in endogenous-fact order,
+    from the resolved backend — one lineage compilation total; under
+    the circuit backend one compiled circuit and one traversal pair
+    answer every fact, under conditioning [n + 1] conditioned counts
+    (the full polynomial once, then one per fact). *)
 
 val banzhaf : t -> Fact.t -> Rational.t
-(** Banzhaf value from the same conditioned polynomials (two GMC totals).
+(** Banzhaf value from the same polynomials (two GMC totals).
     @raise Invalid_argument if the fact is not endogenous. *)
 
 val banzhaf_all : t -> (Fact.t * Rational.t) list
 
 val fgmc_polynomial : t -> Poly.Z.t
-(** The FGMC generating polynomial of the unconditioned lineage, through
-    the same shared cache. *)
+(** The FGMC generating polynomial of the unconditioned lineage, from
+    the resolved backend (the conditioning path for [`Sample]). *)
 
 val stats : t -> Stats.t
 (** Projection of the engine's telemetry registry (plus the engine's own

@@ -1,10 +1,3 @@
-type domain_stat = {
-  d_facts : int;
-  d_hits : int;
-  d_misses : int;
-  d_steals : int;
-}
-
 type t = {
   players : int;
   compilations : int;
@@ -15,8 +8,6 @@ type t = {
   cache_capacity : int;
   cache_drops : int;
   poly_ops : int;
-  jobs : int;
-  domains : domain_stat array;
   compile_s : float;
   eval_s : float;
   backend : string;
@@ -43,7 +34,7 @@ type t = {
 let zero =
   { players = 0; compilations = 0; conditionings = 0; cache_hits = 0;
     cache_misses = 0; cache_size = 0; cache_capacity = 0; cache_drops = 0;
-    poly_ops = 0; jobs = 1; domains = [||]; compile_s = 0.; eval_s = 0.;
+    poly_ops = 0; compile_s = 0.; eval_s = 0.;
     backend = "conditioning"; circuit_nodes = 0; circuit_edges = 0;
     circuit_smoothing = 0; circuit_cache_hits = 0; circuit_cache_misses = 0;
     circuit_cache_drops = 0; circuit_compile_s = 0.; circuit_traverse_s = 0.;
@@ -52,12 +43,6 @@ let zero =
     sample_epsilon = "0"; sample_confidence = "0"; sample_converged = false;
     span_s = [||] }
 
-let sum_domains proj s = Array.fold_left (fun acc d -> acc + proj d) 0 s.domains
-let par_facts s = sum_domains (fun d -> d.d_facts) s
-let par_hits s = sum_domains (fun d -> d.d_hits) s
-let par_misses s = sum_domains (fun d -> d.d_misses) s
-let par_steals s = sum_domains (fun d -> d.d_steals) s
-
 let normalize s =
   {
     s with
@@ -65,7 +50,6 @@ let normalize s =
     eval_s = 0.;
     circuit_compile_s = 0.;
     circuit_traverse_s = 0.;
-    domains = Array.map (fun d -> { d with d_steals = 0 }) s.domains;
     (* span counts are deterministic; only the accumulated durations are
        wall clock *)
     span_s = Array.map (fun (name, count, _) -> (name, count, 0.)) s.span_s;
@@ -87,15 +71,6 @@ let to_string s =
          (capacity_string s.cache_capacity);
        Printf.sprintf "  poly ops      : %d\n" s.poly_ops;
      ]
-     @ (if s.jobs = 1 then []
-        else
-          [
-            (* summed across domains: the per-slice numbers are stable but
-               verbose, and steal counts are scheduling noise anyway *)
-            Printf.sprintf
-              "  parallel      : %d jobs, %d facts, cache %d hits / %d misses, steals %d\n"
-              s.jobs (par_facts s) (par_hits s) (par_misses s) (par_steals s);
-          ])
      @ (if s.backend = "circuit" then
           [
             Printf.sprintf "  backend       : %s\n" s.backend;
@@ -140,16 +115,13 @@ let to_string s =
 
 let pp fmt s = Format.pp_print_string fmt (to_string s)
 
-(* Stable field names: consumed by BENCH_engine.json / BENCH_parallel.json
-   and the cram tests (which mask only the two *_ms fields and the
-   scheduling-dependent par_steals). *)
+(* Stable field names: consumed by the BENCH_*.json writers and the cram
+   tests (which mask only the *_ms fields). *)
 let to_json s =
   Printf.sprintf
     "{\"players\":%d,\"compilations\":%d,\"conditionings\":%d,\
      \"cache_hits\":%d,\"cache_misses\":%d,\"cache_size\":%d,\
      \"cache_capacity\":%s,\"cache_drops\":%d,\"poly_ops\":%d,\
-     \"jobs\":%d,\"par_facts\":%d,\"par_cache_hits\":%d,\
-     \"par_cache_misses\":%d,\"par_steals\":%d,\
      \"compile_ms\":%.3f,\"eval_ms\":%.3f,\
      \"backend\":\"%s\",\"circuit_nodes\":%d,\"circuit_edges\":%d,\
      \"circuit_smoothing\":%d,\"circuit_cache_hits\":%d,\
@@ -162,8 +134,7 @@ let to_json s =
     s.players s.compilations s.conditionings s.cache_hits s.cache_misses
     s.cache_size
     (if s.cache_capacity = max_int then "null" else string_of_int s.cache_capacity)
-    s.cache_drops s.poly_ops s.jobs (par_facts s) (par_hits s) (par_misses s)
-    (par_steals s) (ms s.compile_s) (ms s.eval_s) s.backend s.circuit_nodes
+    s.cache_drops s.poly_ops (ms s.compile_s) (ms s.eval_s) s.backend s.circuit_nodes
     s.circuit_edges s.circuit_smoothing s.circuit_cache_hits
     s.circuit_cache_misses s.circuit_cache_drops (ms s.circuit_compile_s)
     (ms s.circuit_traverse_s) s.sample_strategy s.sample_seed s.sample_draws

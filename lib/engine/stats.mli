@@ -4,45 +4,27 @@
     - [compilations]: lineage compilations performed (the engine's whole
       point is that this stays at [1] per (query, database));
     - [conditionings]: size-polynomial evaluations against the engine's
-      caches ([n + 1] for a full [svc_all] at {e any} jobs count: the
-      unconditioned polynomial once, then [φ[μ:=1]] once per fact —
-      [φ[μ:=0]] comes from the splitting identity without a count);
+      caches ([0] under the circuit backend; [n + 1] for a full
+      [svc_all] under conditioning: the unconditioned polynomial once,
+      then [φ[μ:=1]] once per fact — [φ[μ:=0]] comes from the splitting
+      identity without a count);
     - [cache_*]: the engine's own {!Compile.Memo} counters (hits, misses,
-      retained entries, capacity, results dropped at capacity).  At
-      [jobs > 1] this cache only serves the serial phases (the full
-      polynomial and any per-fact calls made outside a batched run);
+      retained entries, capacity, results dropped at capacity);
     - [poly_ops]: polynomial ring operations charged to the engine's own
       cache;
-    - [jobs] / [domains]: the configured worker count and one
-      {!domain_stat} per worker slot of the last batched run ([[||]]
-      until a batched run happens at [jobs > 1]);
     - [compile_s] / [eval_s]: wall-clock seconds per phase (lineage
       compilation vs per-fact evaluation);
-    - [backend]: ["conditioning"] or ["circuit"] — which evaluation
-      strategy the engine resolved to;
+    - [backend]: ["circuit"], ["conditioning"] or ["sample"] — which
+      evaluation strategy the engine resolved to;
     - [circuit_*]: the knowledge-compilation backend's metrics (all zero
-      under the conditioning backend): live d-DNNF node/edge counts,
-      nodes spent on smoothing gadgets, the formula→node memo cache
-      counters, and the compile vs traverse wall clock.
+      under the other backends): live d-DNNF node/edge counts, nodes
+      spent on smoothing gadgets, the formula→node memo cache counters,
+      and the compile vs traverse wall clock.
 
-    Determinism: for a given (query, database, jobs, capacity, backend),
-    every field is deterministic {e except} the four wall-clock fields and
-    the per-domain [d_steals] (which record scheduling choices).
-    {!normalize} zeroes exactly those, so two runs of the same workload
-    must satisfy
-    [normalize s1 = normalize s2] — the regression test for the
-    deterministic-merge contract.  The per-slot [d_facts]/[d_hits]/
-    [d_misses] are deterministic because work slices are assigned to
-    slots statically, whatever domain ends up running each slice. *)
-
-type domain_stat = {
-  d_facts : int;  (** endogenous facts evaluated by this worker slot *)
-  d_hits : int;  (** this slot's private cache hits *)
-  d_misses : int;  (** this slot's private cache misses *)
-  d_steals : int;
-      (** chunks this worker claimed beyond its first
-          (scheduling-dependent; zeroed by {!normalize}) *)
-}
+    Determinism: for a given (query, database, capacity, backend), every
+    field is deterministic {e except} the four wall-clock fields and the
+    span durations.  {!normalize} zeroes exactly those, so two runs of
+    the same workload must satisfy [normalize s1 = normalize s2]. *)
 
 type t = {
   players : int;
@@ -54,8 +36,6 @@ type t = {
   cache_capacity : int;
   cache_drops : int;
   poly_ops : int;
-  jobs : int;
-  domains : domain_stat array;
   compile_s : float;
   eval_s : float;
   backend : string;
@@ -91,25 +71,17 @@ type t = {
 
 val zero : t
 
-val par_facts : t -> int
-(** Sum of [d_facts] over {!field-t.domains}; likewise below. *)
-
-val par_hits : t -> int
-val par_misses : t -> int
-val par_steals : t -> int
-
 val normalize : t -> t
 (** The deterministic projection: wall-clock fields ([compile_s],
-    [eval_s], [circuit_compile_s], [circuit_traverse_s]), per-domain
-    steal counts, and the durations inside [span_s] zeroed (span {e
-    counts} are deterministic and kept), everything else untouched.  Two
-    runs of the same (query, database, jobs, capacity, backend) produce
-    structurally equal normalized records. *)
+    [eval_s], [circuit_compile_s], [circuit_traverse_s]) and the
+    durations inside [span_s] zeroed (span {e counts} are deterministic
+    and kept), everything else untouched.  Two runs of the same (query,
+    database, capacity, backend) produce structurally equal normalized
+    records. *)
 
 val to_string : t -> string
-(** Multi-line human-readable block (the [svc eval --stats] output).  At
-    [jobs > 1] a [parallel] line reports the per-domain counters summed;
-    under the circuit backend, [backend]/[circuit]/[circuit cache] lines
+(** Multi-line human-readable block (the [svc eval --stats] output).
+    Under the circuit backend, [backend]/[circuit]/[circuit cache] lines
     and the circuit wall-clock lines are appended (every wall-clock line
     ends in [time  : …ms] so one mask covers them all).  When [span_s]
     is non-empty a [spans:] block is appended, one [time  : …ms] line
@@ -119,16 +91,14 @@ val to_json : t -> string
 (** One-line JSON object with stable field names ([players],
     [compilations], [conditionings], [cache_hits], [cache_misses],
     [cache_size], [cache_capacity] (JSON [null] when unbounded),
-    [cache_drops], [poly_ops], [jobs], [par_facts], [par_cache_hits],
-    [par_cache_misses], [par_steals], [compile_ms], [eval_ms],
+    [cache_drops], [poly_ops], [compile_ms], [eval_ms],
     [backend], [circuit_nodes], [circuit_edges], [circuit_smoothing],
     [circuit_cache_hits], [circuit_cache_misses], [circuit_cache_drops],
     [circuit_compile_ms], [circuit_traverse_ms], [sample_strategy],
     [sample_seed], [sample_draws], [sample_exact_strata],
     [sample_sampled_strata], [sample_max_hw], [sample_epsilon],
-    [sample_confidence], [sample_converged]).  The [par_*] fields
-    aggregate the per-domain counters (all [0] at [jobs = 1]); the
-    [circuit_*] fields are all [0] under the conditioning backend; the
+    [sample_confidence], [sample_converged]).  The [circuit_*] fields
+    are all [0] unless [backend = "circuit"]; the
     [sample_*] fields are at their {!zero} defaults unless
     [backend = "sample"] — all deterministic given the seed, so none is
     masked by {!normalize}. *)

@@ -29,13 +29,6 @@ module Memo = struct
     { cache = Cache.create 256; capacity; hits = 0; misses = 0; drops = 0;
       poly_ops = 0 }
 
-  (* Same entries and capacity, fresh counters.  The copy is a new
-     Hashtbl, so it restores the single-owner invariant: warm-starting a
-     per-domain cache from a shared read-only one is exactly a copy. *)
-  let copy m =
-    { cache = Cache.copy m.cache; capacity = m.capacity; hits = 0;
-      misses = 0; drops = 0; poly_ops = 0 }
-
   let length m = Cache.length m.cache
   let capacity m = m.capacity
   let hits m = m.hits
@@ -53,21 +46,16 @@ end
 
 (* (1 + z)^k, memoized: padding recomputes the same small set of powers at
    every Shannon node, and a row of binomials is O(k) to build but O(k^2)
-   via repeated [Bigint.binomial].  The table is domain-local (one per
-   domain, via [Domain.DLS]) rather than global: counting runs inside the
-   parallel engine's worker domains, and an unsynchronized shared Hashtbl
-   would be a data race.  Memoization stays invisible either way — every
+   via repeated [Bigint.binomial].  Memoization stays invisible — every
    table entry is the pure function of its key. *)
-let one_plus_z_table : (int, Poly.Z.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+let one_plus_z_table : (int, Poly.Z.t) Hashtbl.t = Hashtbl.create 64
 
 let one_plus_z_pow k =
-  let table = Domain.DLS.get one_plus_z_table in
-  match Hashtbl.find_opt table k with
+  match Hashtbl.find_opt one_plus_z_table k with
   | Some p -> p
   | None ->
     let p = Poly.Z.of_coeffs (Array.to_list (Bigint.binomial_row k)) in
-    Hashtbl.add table k p;
+    Hashtbl.add one_plus_z_table k p;
     p
 
 (* Split a list of juncts into variable-disjoint groups (the decomposition

@@ -19,11 +19,6 @@ type stats = { cache_hits : int; cache_misses : int }
 
 (** A shareable, bounded memo cache for {!size_polynomial_with}.
 
-    {b Not domain-safe:} the cache is a plain [Hashtbl] with no
-    synchronization, so a [Memo.t] must only ever be mutated from the
-    domain that owns it.  Callers that fan counting out across domains
-    (the parallel {!Engine}) give each domain its own cache.
-
     Keys are the conditioned sub-formulas themselves, hashed structurally
     ({!Bform.hash}); a cached polynomial counts over exactly [vars phi],
     which makes one cache sound across any number of calls — in particular
@@ -37,13 +32,6 @@ module Memo : sig
   val create : ?capacity:int -> unit -> t
   (** Default capacity: unbounded.
       @raise Invalid_argument on negative capacity. *)
-
-  val copy : t -> t
-  (** A new cache with the same entries and capacity but fresh (zero)
-      counters.  The copy shares no mutable structure with the original,
-      so it is the way to hand a warm cache to another domain without
-      violating the single-owner rule: copy first (while no domain is
-      mutating the source), then let the receiving domain own the copy. *)
 
   val length : t -> int
   val capacity : t -> int
@@ -69,9 +57,9 @@ val branch_variable : Bform.t -> Fact.t option
 val one_plus_z_pow : int -> Poly.Z.t
 (** [(1 + z)^k], the size polynomial of the always-true function over [k]
     variables — the padding factor for variables a sub-formula does not
-    mention.  Memoized in a {e domain-local} table (safe to call from any
-    domain) and referentially transparent: every call returns a polynomial
-    equal to [Poly.Z.of_coeffs (Array.to_list (Bigint.binomial_row k))].
+    mention.  Memoized and referentially transparent: every call returns
+    a polynomial equal to
+    [Poly.Z.of_coeffs (Array.to_list (Bigint.binomial_row k))].
     @raise Invalid_argument on negative [k]. *)
 
 val size_polynomial_with :

@@ -77,16 +77,16 @@ type t = {
           variable; empty iff the formula is constant *)
   max_width : int;  (** maximum component width (0 for constants) *)
   predicted_nodes : int;
-      (** predicted circuit size
+      (** estimated circuit size
           [Σ_c (|cvars_c| + 1) · 2^min(width_c + 1, 24)], saturated at
-          {!huge_nodes} — the standard decision-DNNF bound [n · 2^w]
-          along the reverse elimination order *)
+          {!huge_nodes}.  An estimate, not a bound: real circuits can
+          exceed it, or fall far below it when the lineage is simpler
+          than its induced width suggests. *)
   requested : heuristic;  (** the heuristic {!analyze} was asked for *)
 }
 
 val huge_nodes : int
-(** Saturation value of [predicted_nodes] ([10^9]): the prediction for
-    instances past any practical compilation budget. *)
+(** Saturation value of [predicted_nodes] ([10^9]). *)
 
 val analyze : ?tel:Telemetry.t -> ?heuristic:heuristic -> Bform.t -> t
 (** Run the full pass: split into AND-components (grouping the root
@@ -132,21 +132,10 @@ val component_index : t -> (Fact.t, int) Hashtbl.t
 (** Variable → index of its component in [components]. *)
 
 val recommend : t -> n_facts:int -> [ `Circuit | `Conditioning ]
-(** Cost-based backend choice for a serial batched run over [n_facts]
-    endogenous facts: [`Circuit] iff [n_facts >= min_circuit_facts] and
-    [predicted_nodes <= circuit_node_budget] — one compilation of a
-    width-bounded circuit beats [n_facts] conditioned counts; otherwise
-    the predicted blow-up (or the tiny instance) favours conditioning. *)
-
-val recommend_reason : t -> n_facts:int -> string
-(** One line explaining {!recommend}'s verdict, for CLI notes. *)
-
-val min_circuit_facts : int
-(** Below this many endogenous facts conditioning always wins (8). *)
-
-val circuit_node_budget : int
-(** Predicted-node budget above which [`Auto] refuses to compile
-    ([2^16]). *)
+(** The backend an [`Auto] engine resolves to: [`Circuit], for every
+    plan and every fact count.  Kept, with its signature, for the
+    benchmark's layer-by-layer replay ([perfbench/replay.ml]), which
+    checks its replayed choice against {!Engine.backend}. *)
 
 val to_string : t -> string
 (** Multi-line human-readable dump (components, orders, widths,

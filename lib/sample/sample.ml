@@ -3,7 +3,7 @@
    Everything here is exact rational arithmetic over integer draw sums:
    the only randomness is the seeded PRNG, so a run is a pure function
    of (lineage, universe, config) — the determinism contract the test
-   layer pins (same seed => bit-identical report at any jobs count).
+   layer pins (same seed => bit-identical report).
 
    The stratified view: for a universe U with |U| = n and μ ∈ U,
 

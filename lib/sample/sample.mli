@@ -7,7 +7,7 @@
     {e rational-arithmetic} confidence intervals — no floats anywhere in
     the estimate or the bound, so a run is a pure function of
     [(lineage, universe, config)] and in particular of the [seed]:
-    bit-identical on every host and at every [jobs] count.
+    bit-identical on every host.
 
     {2 Strategies}
 
@@ -165,7 +165,7 @@ end
     stream), exposed for the statistical test layer.  Substreams derived via {!of_path}
     from distinct paths are independent for all practical purposes,
     which is what makes every strategy's draw sequence a function of the
-    master seed alone — independent of evaluation order and [jobs]. *)
+    master seed alone — independent of evaluation order. *)
 module Rng : sig
   type t
 

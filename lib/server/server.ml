@@ -45,7 +45,6 @@ type t = {
   capacity : int;
   max_frame : int;
   journal_limit : int;
-  jobs : int;
   engine_cache_capacity : int;
   mutable tick : int;
   mutable stopped : bool;
@@ -62,7 +61,7 @@ let default_journal_limit = 64
 
 let create ?(tel = Telemetry.disabled ()) ?(capacity = default_capacity)
     ?(max_frame = Frame.default_max_len)
-    ?(journal_limit = default_journal_limit) ?(jobs = 1)
+    ?(journal_limit = default_journal_limit)
     ?(engine_cache_capacity = 1 lsl 20) () =
   if capacity < 1 then invalid_arg "Server.create: capacity must be >= 1";
   if journal_limit < 0 then
@@ -74,7 +73,6 @@ let create ?(tel = Telemetry.disabled ()) ?(capacity = default_capacity)
     capacity;
     max_frame;
     journal_limit;
-    jobs;
     engine_cache_capacity;
     tick = 0;
     stopped = false;
@@ -236,13 +234,12 @@ let evict_if_full t =
 
 let fresh_engine t ds ~backend ~query_src =
   let query = Query_parse.parse query_src in
-  Engine.create ~tel:t.tel ~cache_capacity:t.engine_cache_capacity
-    ~jobs:t.jobs ~backend query ds.db
+  Engine.create ~tel:t.tel ~cache_capacity:t.engine_cache_capacity ~backend
+    query ds.db
 
 let requested_name (b : Engine.backend) =
   match b with
   | `Auto -> "auto"
-  | `AutoLegacy -> "auto-legacy"
   | `Conditioning -> "conditioning"
   | `Circuit -> "circuit"
   | `Sample _ -> "sample"

@@ -46,7 +46,6 @@ val create :
   ?capacity:int ->
   ?max_frame:int ->
   ?journal_limit:int ->
-  ?jobs:int ->
   ?engine_cache_capacity:int ->
   unit ->
   t
@@ -54,8 +53,8 @@ val create :
     {!default_capacity}); [max_frame] the accepted payload size in
     bytes (default {!Frame.default_max_len}); [journal_limit] how many
     changes per database stay replayable before stale engines must
-    recompile cold (default {!default_journal_limit}); [jobs] and
-    [engine_cache_capacity] are handed to every {!Engine.create}.
+    recompile cold (default {!default_journal_limit});
+    [engine_cache_capacity] is handed to every {!Engine.create}.
     @raise Invalid_argument if [capacity < 1] or [journal_limit < 0]. *)
 
 val default_capacity : int

@@ -49,9 +49,9 @@ let svc_all_naive q db =
   debug_check "Svc.svc_all_naive" q db;
   List.map (fun f -> (f, svc_unchecked q db f)) (Database.endo_list db)
 
-let svc_all ?tel ?jobs ?backend q db =
+let svc_all ?tel ?backend q db =
   debug_check "Svc.svc_all" q db;
-  Engine.svc_all (Engine.create ?tel ?jobs ?backend q db)
+  Engine.svc_all (Engine.create ?tel ?backend q db)
 
 let svc_hierarchical q db mu =
   if not (Database.mem_endo mu db) then

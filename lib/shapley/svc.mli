@@ -21,24 +21,20 @@ val svc_brute : Query.t -> Database.t -> Fact.t -> Rational.t
 (** @raise Invalid_argument if the fact is not endogenous. *)
 
 val svc_all :
-  ?tel:Telemetry.t -> ?jobs:int -> ?backend:Engine.backend -> Query.t ->
+  ?tel:Telemetry.t -> ?backend:Engine.backend -> Query.t ->
   Database.t -> (Fact.t * Rational.t) list
 (** Shapley values of all endogenous facts, through the batched
-    {!Engine}: one lineage compilation shared by all facts, each fact's
-    polynomials derived by conditioning against a shared memo cache — or,
-    under [~backend:`Circuit] (and under [`Auto], the default, on large
-    serial instances), read off one d-DNNF compilation with no per-fact
-    conditioning at all.  [jobs] (default [1]; [0] = auto) fans the
-    per-fact conditionings out across that many domains — values and
-    order are identical for every [jobs] and every backend.  [tel] is
-    handed to the underlying {!Engine.create}.
+    {!Engine}: one lineage compilation shared by all facts, every fact's
+    polynomials read off one d-DNNF compilation (the default [`Auto] and
+    [`Circuit]) or derived by conditioning against a shared memo cache
+    ([`Conditioning]) — values and order are identical for every exact
+    backend.  [tel] is handed to the underlying {!Engine.create}.
 
     For instances beyond exact reach, [~backend:(`Sample cfg)] swaps in
     the seeded anytime estimator of [lib/sample]: approximate values
     with rational confidence intervals, deterministic given
     [cfg.seed] — and rationally {e equal} to the exact backends when
-    the hybrid strategy's every stratum fits under its exact cap.
-    @raise Invalid_argument if [jobs < 0]. *)
+    the hybrid strategy's every stratum fits under its exact cap. *)
 
 val svc_all_naive : Query.t -> Database.t -> (Fact.t * Rational.t) list
 (** The pre-engine path: an independent {!svc} call per fact, i.e. two

@@ -55,16 +55,14 @@ type case_result = {
 }
 
 val eval_case :
-  ?tel:Telemetry.t -> ?cache_capacity:int -> ?jobs:int ->
-  ?backend:Engine.backend -> case -> case_result
+  ?tel:Telemetry.t -> ?cache_capacity:int -> ?backend:Engine.backend ->
+  case -> case_result
 val eval :
-  ?tel:Telemetry.t -> ?cache_capacity:int -> ?jobs:int ->
-  ?backend:Engine.backend -> t -> case_result list
-(** [jobs] (default [1]; [0] = auto) and [backend] (default [`Auto]) are
-    handed to every case's {!Engine.create}: each case fans its per-fact
-    conditionings out across that many domains, or answers from one
-    d-DNNF compilation under the circuit backend.  Values are identical
-    for every [jobs] and every backend.  With [tel], each case runs in a
+  ?tel:Telemetry.t -> ?cache_capacity:int -> ?backend:Engine.backend ->
+  t -> case_result list
+(** [cache_capacity] and [backend] (default [`Auto]) are handed to every
+    case's {!Engine.create}.  Values are identical for every exact
+    backend.  With [tel], each case runs in a
     [workload.case] span (attribute [case] = its name) and every case's
     engine records into the same tracer. *)
 

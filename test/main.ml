@@ -23,7 +23,6 @@ let () =
       ("engine", Test_engine.suite);
       ("circuit", Test_circuit.suite);
       ("plan", Test_plan.suite);
-      ("parallel", Test_parallel.suite);
       ("sample", Test_sample.suite);
       ("telemetry", Test_telemetry.suite);
       ("reductions", Test_reductions.suite);

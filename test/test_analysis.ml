@@ -125,6 +125,16 @@ let test_checker_rejects_forgeries () =
   let big_db = Workload.rst_gadget ~rows:5 ~extra_exo:false () in
   let ds = Analyze.pair hard big_db in
   let x203 = List.find (fun d -> d.Diagnostic.code = "X203") ds in
+  (* the planner's node count is an estimate, and the message says so *)
+  let plan = Plan.analyze (Lineage.lineage hard big_db) in
+  let n = Database.size_endo big_db in
+  Alcotest.(check string) "X203 wording"
+    (Printf.sprintf
+       "query is #P-hard and the database has %d endogenous \
+        facts: exact computation may take 2^%d query evaluations; the \
+        compilation plan has induced width %d and predicts ~%d circuit nodes"
+       n n plan.Plan.max_width plan.Plan.predicted_nodes)
+    x203.Diagnostic.message;
   Alcotest.(check bool) "honest plan width verifies" true
     (Certcheck.check ~query:hard ~database:big_db x203);
   (match x203.Diagnostic.certificate with

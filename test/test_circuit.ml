@@ -147,25 +147,41 @@ let test_no_conditioning () =
   Alcotest.(check int) "still zero conditionings" 0 s2.Stats.conditionings;
   Alcotest.(check int) "same nodes" s.Stats.circuit_nodes s2.Stats.circuit_nodes
 
-(* `Auto resolution: circuit iff serial and at least threshold players *)
+(* `Auto resolves to the circuit on every instance: every registered
+   family below 8 endogenous facts, the rpq-road size whose width-based
+   prediction is ~6x10^8 nodes, and the degenerate databases.  Values
+   match the brute-force oracle wherever it is cheap. *)
 let test_auto_selection () =
-  let q = Query_parse.parse "R(?x), S(?x,?y)" in
-  let big = Gen.star ~spokes:(Engine.circuit_threshold + 2) in
-  let small = Gen.star ~spokes:4 in
-  let e_big = Engine.create q big in
-  Alcotest.(check bool) "big serial → circuit" true
-    (Engine.backend e_big = `Circuit && Engine.auto_selected e_big);
-  let e_par = Engine.create ~jobs:2 q big in
-  Alcotest.(check bool) "big parallel → conditioning" true
-    (Engine.backend e_par = `Conditioning && not (Engine.auto_selected e_par));
-  let e_small = Engine.create q small in
-  Alcotest.(check bool) "small → conditioning" true
-    (Engine.backend e_small = `Conditioning);
-  let e_forced = Engine.create ~backend:`Conditioning q big in
-  Alcotest.(check bool) "forced conditioning sticks" true
-    (Engine.backend e_forced = `Conditioning && not (Engine.auto_selected e_forced));
-  Alcotest.(check bool) "auto = explicit circuit" true
-    (values_equal (Engine.svc_all e_big) (Engine.svc_all (Engine.create ~backend:`Circuit q big)))
+  let check_auto label q db =
+    let e = Engine.create q db in
+    Alcotest.(check bool) (label ^ ": resolves to circuit") true
+      (Engine.backend e = `Circuit && Engine.plan e <> None);
+    let values = Engine.svc_all e in
+    if Database.size_endo db <= 10 then
+      Alcotest.(check bool) (label ^ ": = svc_all_naive") true
+        (values_equal values (Svc.svc_all_naive q db))
+  in
+  List.iter
+    (fun (fam : Workload.Family.t) ->
+       let rec sizes size =
+         let c = fam.Workload.Family.generate ~seed:1 ~size in
+         if size <= 16 && Database.size_endo c.Workload.db < 8 then begin
+           check_auto c.Workload.cname c.Workload.query c.Workload.db;
+           sizes (size + 1)
+         end
+       in
+       sizes 1)
+    (Workload.families ());
+  let road = Workload.generate ~family:"rpq-road" ~seed:1 ~size:26 in
+  check_auto road.Workload.cname road.Workload.query road.Workload.db;
+  let q = Query_parse.parse "R(?x)" in
+  check_auto "no endogenous facts" q
+    (Database.make ~endo:[] ~exo:[ fact "R" [ "1" ] ]);
+  check_auto "constant lineage" q
+    (Database.make ~endo:[ fact "S" [ "1"; "2" ] ] ~exo:[ fact "R" [ "1" ] ]);
+  let forced = Engine.create ~backend:`Conditioning qrst (Gen.bipartite ~rows:2) in
+  Alcotest.(check bool) "explicit conditioning sticks" true
+    (Engine.backend forced = `Conditioning && Engine.plan forced = None)
 
 (* a bounded circuit compile cache changes counters, never answers *)
 let test_bounded_circuit_cache () =
@@ -212,8 +228,7 @@ let test_stats_normalize_and_json () =
   Alcotest.(check string) "JSON shape of Stats.zero"
     "{\"players\":0,\"compilations\":0,\"conditionings\":0,\"cache_hits\":0,\
      \"cache_misses\":0,\"cache_size\":0,\"cache_capacity\":0,\
-     \"cache_drops\":0,\"poly_ops\":0,\"jobs\":1,\"par_facts\":0,\
-     \"par_cache_hits\":0,\"par_cache_misses\":0,\"par_steals\":0,\
+     \"cache_drops\":0,\"poly_ops\":0,\
      \"compile_ms\":0.000,\"eval_ms\":0.000,\"backend\":\"conditioning\",\
      \"circuit_nodes\":0,\"circuit_edges\":0,\"circuit_smoothing\":0,\
      \"circuit_cache_hits\":0,\"circuit_cache_misses\":0,\

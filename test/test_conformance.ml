@@ -3,9 +3,9 @@
    For EVERY registered workload family:
 
    - a qcheck sweep draws random (seed, size) instances and checks that
-     every backend — conditioning, circuit, and the sampling estimator
-     with every stratum under the exact cap — at jobs ∈ {1, 4} returns
-     exactly the serial conditioning values (facts, order, rationals);
+     every other backend — auto, circuit, and the sampling estimator
+     with every stratum under the exact cap — returns exactly the
+     serial conditioning values (facts, order, rationals);
    - an exhaustive sweep enumerates EVERY partitioned database (each
      fact absent / endogenous / exogenous) over a small universe drawn
      from the family's own generator and cross-checks every backend
@@ -42,16 +42,11 @@ let size_range name =
   | Some r -> r
   | None -> (1, 4)  (* families registered after this suite was written *)
 
-(* The backend × jobs matrix checked against serial conditioning. *)
+(* The backends checked against serial conditioning. *)
 let matrix =
-  [ ("conditioning jobs=4", `Conditioning, 4);
-    ("circuit jobs=1", `Circuit, 1);
-    ("circuit jobs=4", `Circuit, 4);
-    ("sample-hybrid jobs=1", `Sample hybrid_exact, 1);
-    ("sample-hybrid jobs=4", `Sample hybrid_exact, 4) ]
+  [ ("auto", `Auto); ("circuit", `Circuit); ("sample-hybrid", `Sample hybrid_exact) ]
 
-let run ~backend ~jobs q db =
-  Engine.svc_all (Engine.create ~jobs ~backend q db)
+let run ~backend q db = Engine.svc_all (Engine.create ~backend q db)
 
 let sweep_qcheck (fam : Workload.Family.t) =
   let lo, hi = size_range fam.name in
@@ -61,10 +56,10 @@ let sweep_qcheck (fam : Workload.Family.t) =
     (fun (seed, size) ->
        let c = Workload.generate ~family:fam.name ~seed ~size in
        let q = c.Workload.query and db = c.Workload.db in
-       let reference = run ~backend:`Conditioning ~jobs:1 q db in
+       let reference = run ~backend:`Conditioning q db in
        List.for_all
-         (fun (label, backend, jobs) ->
-            if values_equal reference (run ~backend ~jobs q db) then true
+         (fun (label, backend) ->
+            if values_equal reference (run ~backend q db) then true
             else
               QCheck2.Test.fail_reportf
                 "%s disagrees with serial conditioning on %s (seed %d, size %d)"
@@ -93,11 +88,11 @@ let sweep_exhaustive (fam : Workload.Family.t) =
                List.map (fun f -> (f, Svc.svc_brute q db f)) (Database.endo_list db)
              in
              List.iter
-               (fun (label, backend, jobs) ->
-                  if not (values_equal brute (run ~backend ~jobs q db)) then
+               (fun (label, backend) ->
+                  if not (values_equal brute (run ~backend q db)) then
                     Alcotest.failf "%s: %s mismatch on %s" fam.name label
                       (Format.asprintf "%a" Database.pp db))
-               (("conditioning jobs=1", `Conditioning, 1) :: matrix)
+               (("conditioning", `Conditioning) :: matrix)
            end);
        if !checked = 0 then Alcotest.fail "empty sweep")
 

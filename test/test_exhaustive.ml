@@ -216,18 +216,18 @@ let sweep_constants =
 (* Conformance goldens                                                 *)
 (*                                                                     *)
 (* MD5 digests of the full SVC output on pinned registry instances,    *)
-(* per backend and at jobs ∈ {1, 4}.  These pin the outputs            *)
-(* bit-identically: any change to arithmetic, compilation order, or    *)
-(* the parallel merge that alters a single printed rational flips a    *)
-(* digest.  The conditioning and circuit backends (and the hybrid      *)
+(* per backend.  These pin the outputs bit-identically: any change to  *)
+(* arithmetic or compilation order that alters a single printed        *)
+(* rational flips a digest.  The auto, conditioning and circuit        *)
+(* backends (and the hybrid                                            *)
 (* sampler when every stratum fits under its exact cap, as on [star])  *)
 (* must produce the same digest; the sampler's Monte-Carlo fallback on *)
 (* [bipartite] is seeded, so its digest is pinned too — just to a      *)
 (* different value.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let svc_digest ~backend ~jobs (case : Workload.case) =
-  let e = Engine.create ~backend ~jobs case.Workload.query case.Workload.db in
+let svc_digest ~backend (case : Workload.case) =
+  let e = Engine.create ~backend case.Workload.query case.Workload.db in
   let lines =
     List.map
       (fun (f, v) -> Fact.to_string f ^ "=" ^ Rational.to_string v)
@@ -237,27 +237,25 @@ let svc_digest ~backend ~jobs (case : Workload.case) =
 
 let golden_digests =
   [
+    ("star", 0, 4, "auto", `Auto, "e14544f048cd5f512a659a81cb19c421");
     ("star", 0, 4, "conditioning", `Conditioning, "e14544f048cd5f512a659a81cb19c421");
     ("star", 0, 4, "circuit", `Circuit, "e14544f048cd5f512a659a81cb19c421");
     ("star", 0, 4, "sample", `Sample Sample.default, "e14544f048cd5f512a659a81cb19c421");
+    ("bipartite", 0, 3, "auto", `Auto, "8992ce54d6c7c1d164db03d7ddecfd89");
     ("bipartite", 0, 3, "conditioning", `Conditioning, "8992ce54d6c7c1d164db03d7ddecfd89");
     ("bipartite", 0, 3, "circuit", `Circuit, "8992ce54d6c7c1d164db03d7ddecfd89");
     ("bipartite", 0, 3, "sample", `Sample Sample.default, "4041ff4ef8eb85fe26781109ed998c4a");
   ]
 
 let conformance_goldens =
-  Alcotest.test_case "conformance: golden SVC digests per backend x jobs" `Quick
+  Alcotest.test_case "conformance: golden SVC digests per backend" `Quick
     (fun () ->
        List.iter
          (fun (family, seed, size, bname, backend, expected) ->
-            let case = Workload.generate ~family ~seed ~size in
-            List.iter
-              (fun jobs ->
-                 Alcotest.(check string)
-                   (Printf.sprintf "%s/%d/%d %s jobs=%d" family seed size bname jobs)
-                   expected
-                   (svc_digest ~backend ~jobs case))
-              [ 1; 4 ])
+            Alcotest.(check string)
+              (Printf.sprintf "%s/%d/%d %s" family seed size bname)
+              expected
+              (svc_digest ~backend (Workload.generate ~family ~seed ~size)))
          golden_digests)
 
 (* The one-line JSON emitted by [Stats.to_json] is consumed by the bench
@@ -266,9 +264,7 @@ let conformance_goldens =
 let stats_json_keys =
   [
     "players"; "compilations"; "conditionings"; "cache_hits"; "cache_misses";
-    "cache_size"; "cache_capacity"; "cache_drops"; "poly_ops"; "jobs";
-    "par_facts"; "par_cache_hits"; "par_cache_misses"; "par_steals";
-    "compile_ms"; "eval_ms"; "backend"; "circuit_nodes"; "circuit_edges";
+    "cache_size"; "cache_capacity"; "cache_drops"; "poly_ops"; "compile_ms"; "eval_ms"; "backend"; "circuit_nodes"; "circuit_edges";
     "circuit_smoothing"; "circuit_cache_hits"; "circuit_cache_misses";
     "circuit_cache_drops"; "circuit_compile_ms"; "circuit_traverse_ms";
     "sample_strategy"; "sample_seed"; "sample_draws"; "sample_exact_strata";
@@ -297,7 +293,7 @@ let stats_json_shape =
       let case = Workload.generate ~family:"star" ~seed:0 ~size:3 in
       List.iter
         (fun backend ->
-           let e = Engine.create ~backend ~jobs:4 case.Workload.query case.Workload.db in
+           let e = Engine.create ~backend case.Workload.query case.Workload.db in
            ignore (Engine.svc_all e);
            Alcotest.(check (list string))
              "keys of a live run" stats_json_keys

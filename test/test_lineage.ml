@@ -145,6 +145,17 @@ let prop_lineage_random q_str rels =
        in
        lineage_correct (Query_parse.parse q_str) db)
 
+(* padding-polynomial memoization is referentially transparent *)
+let prop_one_plus_z_pow_transparent =
+  qcheck ~count:100 "one_plus_z_pow k = (1+z)^k, stable across calls"
+    QCheck2.Gen.(int_range 0 60)
+    (fun k ->
+       let expected =
+         Poly.Z.of_coeffs (Array.to_list (Bigint.binomial_row k))
+       in
+       Poly.Z.equal expected (Compile.one_plus_z_pow k)
+       && Poly.Z.equal (Compile.one_plus_z_pow k) (Compile.one_plus_z_pow k))
+
 let suite =
   [
     Alcotest.test_case "bform basics" `Quick test_bform_basics;
@@ -162,4 +173,5 @@ let suite =
     prop_lineage_random "rpq: (AB*C)(s,t)" [ ("A", 2); ("B", 2); ("C", 2) ];
     prop_lineage_random "crpq: (AB+BA)(?x,a)" [ ("A", 2); ("B", 2) ];
     prop_lineage_random "cqneg: R(?x), S(?x,?y), !T(?y)" [ ("R", 1); ("S", 2); ("T", 1) ];
+    prop_one_plus_z_pow_transparent;
   ]

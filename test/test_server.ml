@@ -4,7 +4,7 @@
    The load-bearing property is the differential identity behind
    [Engine.update] — an engine chained through a random sequence of
    insert/delete deltas answers exactly like a cold [Engine.create] on
-   the final database, for every exact backend and job count (and for
+   the final database, for every exact backend (and for
    the hybrid sampler kept rationally exact by a generous [exact_cap]).
    Random sequences over the registry families are backed by an
    exhaustive sweep of every single-fact change against every
@@ -38,7 +38,7 @@ let diff_families = [ "star"; "bipartite"; "cqneg"; "const-svc" ]
    same family, deletes of present facts), chaining one engine through
    [Engine.update] while checking it against a cold engine on the
    current database after every step. *)
-let differential_episode ~backend ~jobs ~steps seed =
+let differential_episode ~backend ~steps seed =
   let r = Workload.rng seed in
   let family = Workload.pick r diff_families in
   let size = 2 + Workload.int r 2 in
@@ -47,7 +47,7 @@ let differential_episode ~backend ~jobs ~steps seed =
     Workload.generate ~family ~seed:(1 + Workload.int r 100) ~size:(size + 2)
   in
   let pool = Fact.Set.elements (Database.all donor.Workload.db) in
-  let engine = ref (Engine.create ~backend ~jobs case.Workload.query case.Workload.db) in
+  let engine = ref (Engine.create ~backend case.Workload.query case.Workload.db) in
   let db = ref case.Workload.db in
   let ok = ref true in
   for _ = 1 to steps do
@@ -75,17 +75,17 @@ let differential_episode ~backend ~jobs ~steps seed =
          | `Insert (`Exo, f) -> Database.add_exo f !db
          | `Delete f -> Database.remove f !db);
       engine := Engine.update !engine change;
-      let cold = Engine.create ~backend ~jobs case.Workload.query !db in
+      let cold = Engine.create ~backend case.Workload.query !db in
       if not (values_equal (Engine.svc_all !engine) (Engine.svc_all cold))
       then ok := false
   done;
   !ok
 
-let diff_test name ~backend ~jobs =
+let diff_test name ~backend =
   Test_util.qcheck ~count:300
     (Printf.sprintf "delta chain = cold recompute (%s)" name)
     Gen.seed_gen
-    (differential_episode ~backend ~jobs ~steps:3)
+    (differential_episode ~backend ~steps:3)
 
 (* Exhaustive small-universe sweep: every partitioned database over a
    3-fact universe x every applicable single-fact change x every
@@ -515,10 +515,10 @@ let fuzz_mangled_mutating =
 
 let suite =
   [
-    diff_test "conditioning, jobs 1" ~backend:`Conditioning ~jobs:1;
-    diff_test "conditioning, jobs 4" ~backend:`Conditioning ~jobs:4;
-    diff_test "circuit" ~backend:`Circuit ~jobs:1;
-    diff_test "hybrid sample, exact" ~backend:exact_sample ~jobs:1;
+    diff_test "conditioning" ~backend:`Conditioning;
+    diff_test "auto" ~backend:`Auto;
+    diff_test "circuit" ~backend:`Circuit;
+    diff_test "hybrid sample, exact" ~backend:exact_sample;
     Alcotest.test_case "exhaustive single-delta sweep" `Slow
       test_exhaustive_single_deltas;
     Alcotest.test_case "update keeps the old engine intact" `Quick

@@ -3,7 +3,7 @@
    exporter output, and differential regressions proving telemetry is
    observationally free — telemetry-on runs produce bit-identical
    Shapley values and the same pinned stats JSON shape as telemetry-off
-   runs, for every backend × jobs combination. *)
+   runs, for every backend. *)
 
 open Test_util
 
@@ -305,9 +305,7 @@ let test_tracejson_malformed () =
    exactly these keys in exactly this order. *)
 let pinned_stats_keys =
   [ "players"; "compilations"; "conditionings"; "cache_hits"; "cache_misses";
-    "cache_size"; "cache_capacity"; "cache_drops"; "poly_ops"; "jobs";
-    "par_facts"; "par_cache_hits"; "par_cache_misses"; "par_steals";
-    "compile_ms"; "eval_ms"; "backend"; "circuit_nodes"; "circuit_edges";
+    "cache_size"; "cache_capacity"; "cache_drops"; "poly_ops"; "compile_ms"; "eval_ms"; "backend"; "circuit_nodes"; "circuit_edges";
     "circuit_smoothing"; "circuit_cache_hits"; "circuit_cache_misses";
     "circuit_cache_drops"; "circuit_compile_ms"; "circuit_traverse_ms";
     "sample_strategy"; "sample_seed"; "sample_draws"; "sample_exact_strata";
@@ -329,30 +327,27 @@ let strip_wallclock text =
          if
            List.mem k
              [ "compile_ms"; "eval_ms"; "circuit_compile_ms";
-               "circuit_traverse_ms"; "par_steals" ]
+               "circuit_traverse_ms" ]
          then (k, Tracejson.Null)
          else (k, v))
       fields
   | _ -> Alcotest.fail "stats JSON is not an object"
 
-let backends_jobs =
-  [ (`Conditioning, 1); (`Conditioning, 4); (`Circuit, 1); (`Circuit, 4);
-    (`Auto, 1); (`Auto, 4); (`Sample Sample.default, 1);
-    (`Sample Sample.default, 4) ]
+let backends = [ `Conditioning; `Circuit; `Auto; `Sample Sample.default ]
 
 let test_differential_off_vs_on () =
   List.iter
-    (fun (backend, jobs) ->
-       let off = Engine.create ~jobs ~backend qrst demo_db in
+    (fun backend ->
+       let off = Engine.create ~backend qrst demo_db in
        let tel = Telemetry.create ~enabled:true () in
-       let on = Engine.create ~tel ~jobs ~backend qrst demo_db in
+       let on = Engine.create ~tel ~backend qrst demo_db in
        let label =
-         Printf.sprintf "backend=%s jobs=%d"
-           (match Engine.backend off with
+         Printf.sprintf "backend=%s"
+           (match backend with
+            | `Auto -> "auto"
             | `Conditioning -> "conditioning"
             | `Circuit -> "circuit"
             | `Sample _ -> "sample")
-           jobs
        in
        let v_off = Engine.svc_all off and v_on = Engine.svc_all on in
        Alcotest.(check bool)
@@ -368,96 +363,27 @@ let test_differential_off_vs_on () =
        Alcotest.(check bool)
          (label ^ ": same values with telemetry on") true
          (strip_wallclock j_off = strip_wallclock j_on))
-    backends_jobs
+    backends
 
 let test_normalize_deterministic () =
   List.iter
-    (fun (backend, jobs) ->
+    (fun (backend, span) ->
        let run () =
          let tel = Telemetry.create ~enabled:true () in
-         let e = Engine.create ~tel ~jobs ~backend qrst demo_db in
+         let e = Engine.create ~tel ~backend qrst demo_db in
          ignore (Engine.svc_all e);
          Stats.normalize (Engine.stats e)
        in
        let s1 = run () and s2 = run () in
        Alcotest.(check bool)
-         (Printf.sprintf "normalize deterministic (jobs=%d)" jobs)
+         (Printf.sprintf "normalize deterministic (%s)" span)
          true (s1 = s2);
        (* the span rollup survives normalization with durations zeroed *)
        Alcotest.(check bool) "span durations zeroed" true
          (Array.for_all (fun (_, _, d) -> d = 0.) s1.Stats.span_s);
        Alcotest.(check bool) "span names kept" true
-         (jobs = 1 || Array.exists (fun (n, _, _) -> n = "engine.slice") s1.Stats.span_s))
-    [ (`Conditioning, 1); (`Conditioning, 4); (`Circuit, 1) ]
-
-(* --jobs N: the per-domain trace lanes must reconstruct the same chunk
-   counts as the par_* stats — one engine.slice span per slot on track
-   slot + 1, its "facts" attribute equal to that slot's d_facts. *)
-let test_parallel_lanes_match_stats () =
-  let jobs = 4 in
-  let tel = Telemetry.create ~enabled:true () in
-  let e = Engine.create ~tel ~jobs ~backend:`Conditioning qrst demo_db in
-  ignore (Engine.svc_all e);
-  let stats = Engine.stats e in
-  let chrome = Telemetry.Export.chrome tel in
-  let evs =
-    match Tracejson.parse chrome with
-    | Ok j ->
-      (match Tracejson.validate j with
-       | Ok evs -> evs
-       | Error msg -> Alcotest.failf "invalid chrome trace: %s" msg)
-    | Error msg -> Alcotest.failf "chrome trace failed to parse: %s" msg
-  in
-  let slices =
-    List.filter
-      (fun e -> e.Tracejson.t_ph = "X" && e.Tracejson.t_name = "engine.slice")
-      evs
-  in
-  Alcotest.(check int) "one slice span per slot" jobs (List.length slices);
-  List.iter
-    (fun ev ->
-       let slot = ev.Tracejson.t_tid - 1 in
-       let facts =
-         match List.assoc_opt "facts" ev.Tracejson.t_args with
-         | Some (Tracejson.Str s) -> int_of_string s
-         | _ -> Alcotest.fail "slice span lost its facts attribute"
-       in
-       Alcotest.(check int)
-         (Printf.sprintf "slot %d lane = d_facts" slot)
-         stats.Stats.domains.(slot).Stats.d_facts facts)
-    slices;
-  Alcotest.(check int) "lanes sum to par_facts"
-    (Stats.par_facts stats)
-    (List.fold_left
-       (fun acc ev ->
-          match List.assoc_opt "facts" ev.Tracejson.t_args with
-          | Some (Tracejson.Str s) -> acc + int_of_string s
-          | _ -> acc)
-       0 slices)
-
-let test_pool_telemetry () =
-  let tel = Telemetry.create ~enabled:true () in
-  let pool = Pool.create ~domains:3 in
-  let out, stats =
-    Pool.map_stats ~tel ~chunk:2 pool (fun x -> x * x) (Array.init 10 Fun.id)
-  in
-  Alcotest.(check (array int)) "values unchanged"
-    (Array.init 10 (fun i -> i * i)) out;
-  let total_claims = Array.fold_left ( + ) 0 stats.Pool.claims in
-  Alcotest.(check int) "pool.chunks counter = total claims" total_claims
-    (Telemetry.Counter.value (Telemetry.counter tel "pool.chunks"));
-  let chunk_spans =
-    List.filter
-      (fun e -> e.Telemetry.ev_name = "pool.chunk")
-      (Telemetry.events tel)
-  in
-  Alcotest.(check int) "one span per claimed chunk" total_claims
-    (List.length chunk_spans);
-  (* spans land on tracks 1..domains, never the caller's track 0 *)
-  Alcotest.(check bool) "spans on worker tracks" true
-    (List.for_all
-       (fun e -> e.Telemetry.ev_track >= 1 && e.Telemetry.ev_track <= 3)
-       chunk_spans)
+         (Array.exists (fun (n, _, _) -> n = span) s1.Stats.span_s))
+    [ (`Conditioning, "engine.full"); (`Circuit, "circuit.compile") ]
 
 let suite =
   [
@@ -482,8 +408,4 @@ let suite =
       `Quick test_differential_off_vs_on;
     Alcotest.test_case "normalize is deterministic across real runs" `Quick
       test_normalize_deterministic;
-    Alcotest.test_case "parallel trace lanes match par_* stats" `Quick
-      test_parallel_lanes_match_stats;
-    Alcotest.test_case "pool chunk spans and counters" `Quick
-      test_pool_telemetry;
   ]
