@@ -38,7 +38,7 @@ let scale () =
   true
 
 (* SAMPLE: the anytime sampling backend where exact SVC is out of
-   reach — 10^3..10^4 endogenous facts, on the unsafe q_RST complete
+   reach — 10^3..10^5 endogenous facts, on the unsafe q_RST complete
    bipartite family and the safe star family.  Emits BENCH_sample.json
    (uploaded by the CI bench-smoke job).  The gate: on every instance
    the Monte-Carlo estimator reports a 95% CI half-width <= 1/20 within
@@ -46,8 +46,12 @@ let scale () =
    the exact engine rationally — that check always runs.  Each instance
    is timed on [sample_runs] fresh engines (the report is cached per
    engine); eval_ms is their median, eval_ms_min/eval_ms_max the spread.
-   BENCH_SAMPLE_CAP bounds |Dn| on smoke runs, which skips the
-   convergence gate (machine-readably: "skipped":"cap=N"). *)
+   Every run is bracketed by host-speed calibrations (Calib):
+   eval_ms_scaled is the median of the runs scaled to the reference
+   host, the figure to compare across runs, and calib_ms lists each
+   run's calibrations before and after.  BENCH_SAMPLE_CAP bounds |Dn| on
+   smoke runs, which skips the convergence gate (machine-readably:
+   "skipped":"cap=N"). *)
 let sample_cap () =
   match Sys.getenv_opt "BENCH_SAMPLE_CAP" with
   | None | Some "" -> max_int
@@ -57,7 +61,7 @@ let sample_runs = 5
 
 let sample () =
   Report.heading "SAMPLE"
-    "Anytime sampling backend at 10^3..10^4 facts (emits BENCH_sample.json)";
+    "Anytime sampling backend at 10^3..10^5 facts (emits BENCH_sample.json)";
   let cap = sample_cap () in
   let epsilon = Rational.of_ints 1 20 in
   let cfg =
@@ -68,25 +72,42 @@ let sample () =
     Report.family_instances ~cap ~family:"bipartite"
       ~label:"unsafe q_RST [bipartite]" [ 32; 50; 70; 100 ]
     @ Report.family_instances ~cap ~family:"star"
-        ~label:"safe R(x),S(x,y) [star]" [ 1000; 10000 ]
+        ~label:"safe R(x),S(x,y) [star]" [ 1000; 10000; 100000 ]
   in
   let rows = ref [] and entries = ref [] and all_converged = ref true in
   List.iter
     (fun (family, q, db) ->
        let n = Database.size_endo db in
+       (* keep each run's stats and report, not its engine: five live
+          engines at 10^5 facts would dominate the bench's memory *)
        let runs =
-         List.sort (fun (a, _) (b, _) -> Float.compare a b)
+         List.sort
+           (fun (a, _, _) (b, _, _) -> Float.compare a.Calib.wall_s b.Calib.wall_s)
            (List.init sample_runs (fun _ ->
                 let e = Engine.create ~backend:(`Sample cfg) q db in
-                let _, eval_s = Report.time_it (fun () -> Engine.svc_all e) in
-                (eval_s, e)))
+                let _, t = Calib.time (fun () -> Engine.svc_all e) in
+                (t, Engine.stats e, Engine.sample_report e)))
        in
-       let eval_s, e = List.nth runs (sample_runs / 2) in
-       let min_s = fst (List.hd runs)
-       and max_s = fst (List.nth runs (sample_runs - 1)) in
-       let st = Engine.stats e in
+       let wall (t, _, _) = t.Calib.wall_s in
+       let ((_, st, report) as median) = List.nth runs (sample_runs / 2) in
+       let eval_s = wall median
+       and min_s = wall (List.hd runs)
+       and max_s = wall (List.nth runs (sample_runs - 1)) in
+       let scaled_s =
+         List.nth
+           (List.sort Float.compare
+              (List.map (fun (t, _, _) -> Calib.scaled_s t) runs))
+           (sample_runs / 2)
+       in
+       let calib_ms =
+         String.concat ","
+           (List.map
+              (fun (t, _, _) ->
+                 Printf.sprintf "[%.3f,%.3f]" t.Calib.before_ms t.Calib.after_ms)
+              runs)
+       in
        let hw =
-         match Engine.sample_report e with
+         match report with
          | Some r -> Rational.to_float r.Sample.max_half_width
          | None -> Float.nan
        in
@@ -94,21 +115,22 @@ let sample () =
        if not converged then all_converged := false;
        rows :=
          [ family; string_of_int n; string_of_int st.Stats.sample_draws;
-           Printf.sprintf "%.4f" hw; Report.ms eval_s;
+           Printf.sprintf "%.4f" hw; Report.ms eval_s; Report.ms scaled_s;
            (if converged then "yes" else "NO") ]
          :: !rows;
        entries :=
          Printf.sprintf
            "{\"family\":%S,\"n_endo\":%d,\"eval_ms\":%.1f,\
             \"eval_ms_min\":%.1f,\"eval_ms_max\":%.1f,\
+            \"eval_ms_scaled\":%.1f,\"calib_ms\":[%s],\
             \"max_hw_float\":%.5f,\"stats\":%s}"
-           family n (eval_s *. 1000.) (min_s *. 1000.) (max_s *. 1000.) hw
-           (Stats.to_json st)
+           family n (eval_s *. 1000.) (min_s *. 1000.) (max_s *. 1000.)
+           (scaled_s *. 1000.) calib_ms hw (Stats.to_json st)
          :: !entries)
     instances;
   Report.table
     ~headers:[ "query [instance family]"; "|Dn|"; "draws"; "95% CI hw";
-               "eval (median)"; "converged" ]
+               "eval (median)"; "scaled"; "converged" ]
     (List.rev !rows);
   (* small-instance sanity: the hybrid estimator with every stratum under
      the exact cap must equal the exact engine rationally (|Dn|=15 needs
@@ -141,11 +163,11 @@ let sample () =
   output_string oc
     (Printf.sprintf
        "{\"experiment\":\"sample\",\"cap\":%s,\"strategy\":\"mc\",\"seed\":1,\
-        \"epsilon\":\"1/20\",\"confidence\":\"19/20\",\"max_draws\":4096,\
+        \"calib_reference_ms\":%.1f,\"epsilon\":\"1/20\",\"confidence\":\"19/20\",\"max_draws\":4096,\
         \"hybrid_exact_sanity\":%b,\"gate\":%S,\"skipped\":%s,\"pass\":%b,\
         \"entries\":[%s]}\n"
        (if cap = max_int then "null" else string_of_int cap)
-       sanity gate
+       Calib.reference_ms sanity gate
        (match skipped with None -> "null" | Some r -> Printf.sprintf "%S" r)
        pass
        (String.concat "," (List.rev !entries)));

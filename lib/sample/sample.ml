@@ -104,7 +104,10 @@ type report = {
 (* ------------------------------------------------------------------ *)
 
 module Rng = struct
-  type t = { mutable s : int64 }
+  (* the xorshift64* state, held as 8 little-endian bytes so that reading
+     and writing it moves an unboxed int64: [next] and [int] allocate
+     nothing *)
+  type t = Bytes.t
 
   let golden = 0x9E3779B97F4A7C15L
 
@@ -122,7 +125,10 @@ module Rng = struct
     Int64.logxor z (Int64.shift_right_logical z 31)
 
   (* xorshift64* needs a nonzero state *)
-  let of_state z = { s = (if Int64.equal z 0L then golden else z) }
+  let of_state z =
+    let t = Bytes.create 8 in
+    Bytes.set_int64_le t 0 (if Int64.equal z 0L then golden else z);
+    t
 
   let create seed = of_state (mix64 (Int64.add (Int64.of_int seed) golden))
 
@@ -134,12 +140,12 @@ module Rng = struct
             mix64 (Int64.add (Int64.mul acc 0x100000001B3L) (Int64.of_int (i + 1))))
          z0 path)
 
-  let next t =
-    let s = t.s in
+  let[@inline] next t =
+    let s = Bytes.get_int64_le t 0 in
     let s = Int64.logxor s (Int64.shift_left s 13) in
     let s = Int64.logxor s (Int64.shift_right_logical s 7) in
     let s = Int64.logxor s (Int64.shift_left s 17) in
-    t.s <- s;
+    Bytes.set_int64_le t 0 s;
     Int64.mul s 0x2545F4914F6CDD1DL
 
   let int t bound =
@@ -239,6 +245,114 @@ module Nf = struct
     | And bs | Or bs -> Array.for_all monotone bs
 end
 
+(* A monotone lineage flattened for the Monte-Carlo pivot.  Along a
+   permutation, the completion time of a subformula is the position at
+   which it first holds when the facts are added in permutation order.
+   With pos.(i) the position of variable i,
+
+     c(V i) = pos.(i)   c(T) = -1   c(F) = max_int
+     c(And bs) = max c(bs)   c(Or bs) = min c(bs)  (-1 / max_int if empty)
+
+   and on a monotone φ the shortest prefix satisfying φ has length
+   c(φ) + 1, so perm.(c φ) is the permutation's pivot fact.
+
+   Connective and constant nodes are numbered in post-order, so every
+   child precedes its parent and the root is the last node: one forward
+   loop over plain int arrays computes every completion time.  Variables
+   are not nodes: a child slot holds either a node id (>= 0) or
+   [lnot i] for variable i, read straight from pos. *)
+module Completion = struct
+  type kind = Top | Bot | Conj | Disj
+
+  type t = {
+    kind : kind array;
+    lo : int array;  (** first child slot of each node *)
+    hi : int array;  (** one past its last child slot *)
+    child : int array;  (** node id, or [lnot i] for variable i *)
+    value : int array;  (** scratch: the completion time of each node *)
+  }
+
+  let of_nf nf =
+    (* a variable root becomes a one-child conjunction *)
+    let nf = match nf with Nf.V _ -> Nf.And [| nf |] | _ -> nf in
+    (* counting pass: nodes and child slots *)
+    let nodes = ref 0 and slots = ref 0 in
+    let rec count = function
+      | Nf.V _ -> ()
+      | Nf.T | Nf.F -> incr nodes
+      | Nf.And bs | Nf.Or bs ->
+        incr nodes;
+        slots := !slots + Array.length bs;
+        Array.iter count bs
+      | Nf.Not _ -> invalid_arg "Sample: completion times need a monotone lineage"
+    in
+    count nf;
+    let c =
+      {
+        kind = Array.make !nodes Top;
+        lo = Array.make !nodes 0;
+        hi = Array.make !nodes 0;
+        child = Array.make !slots 0;
+        value = Array.make !nodes 0;
+      }
+    in
+    let next_node = ref 0 and next_slot = ref 0 in
+    let emit k lo hi =
+      let i = !next_node in
+      c.kind.(i) <- k;
+      c.lo.(i) <- lo;
+      c.hi.(i) <- hi;
+      incr next_node;
+      i
+    in
+    (* the child-slot code of a subterm *)
+    let rec fill = function
+      | Nf.V i -> lnot i
+      | Nf.T -> emit Top 0 0
+      | Nf.F -> emit Bot 0 0
+      | Nf.And bs -> group Conj bs
+      | Nf.Or bs -> group Disj bs
+      | Nf.Not _ -> assert false (* rejected by [count] *)
+    and group k bs =
+      let lo = !next_slot in
+      let hi = lo + Array.length bs in
+      next_slot := hi;
+      Array.iteri (fun j b -> c.child.(lo + j) <- fill b) bs;
+      emit k lo hi
+    in
+    ignore (fill nf);
+    c
+
+  (* the completion time of the root *)
+  let eval c pos =
+    let kind = c.kind and lo = c.lo and hi = c.hi in
+    let child = c.child and value = c.value in
+    let last = Array.length kind - 1 in
+    for i = 0 to last do
+      value.(i) <-
+        (match kind.(i) with
+         | Conj ->
+           let acc = ref (-1) in
+           for s = lo.(i) to hi.(i) - 1 do
+             let x = child.(s) in
+             let v = if x >= 0 then value.(x) else pos.(lnot x) in
+             if v > !acc then acc := v
+           done;
+           !acc
+         | Disj ->
+           let acc = ref max_int in
+           for s = lo.(i) to hi.(i) - 1 do
+             let x = child.(s) in
+             let v = if x >= 0 then value.(x) else pos.(lnot x) in
+             if v < !acc then acc := v
+           done;
+           !acc
+         | Top -> -1
+         | Bot -> max_int)
+    done;
+    value.(last)
+end
+
 type ctx = {
   cfg : config;
   universe : Fact.t array;
@@ -301,12 +415,13 @@ let finish ctx estimates ~total_draws =
 (* One permutation yields a marginal contribution for every fact: the
    estimate of Sh(μ) is the mean of μ's contributions, the draw budget
    counts shared permutations.  Monotone lineages take the pivot fast
-   path — along any permutation φ flips false→true at most once, so the
-   flip position is found by binary search over prefix lengths
-   (O(log n) evaluations) and only the pivot fact's sums move.  The
-   stopping rule uses the Hoeffding width, which at shared m is the
-   same for every fact; under `Bernstein the final per-fact widths are
-   refined to min(hoeffding, bernstein) — both are valid bounds. *)
+   path — along any permutation φ flips false→true at most once, and
+   the flip position is the lineage's completion time (see
+   [Completion]), computed in one pass over the flattened lineage per
+   permutation; only the pivot fact's sums move.  The stopping rule
+   uses the Hoeffding width, which at shared m is the same for every
+   fact; under `Bernstein the final per-fact widths are refined to
+   min(hoeffding, bernstein) — both are valid bounds. *)
 let monte_carlo ctx tel =
   let cfg = ctx.cfg and n = ctx.n in
   let range = range_of ctx in
@@ -320,17 +435,10 @@ let monte_carlo ctx tel =
   let full_true = eval ctx in
   Array.fill ctx.present 0 n false;
   let constant = ctx.mono && (empty_true || not full_true) in
-  let cur = ref 0 in
-  let set_prefix target =
-    while !cur < target do
-      ctx.present.(perm.(!cur)) <- true;
-      incr cur
-    done;
-    while !cur > target do
-      decr cur;
-      ctx.present.(perm.(!cur)) <- false
-    done
+  let completion =
+    if ctx.mono && not constant then Some (Completion.of_nf ctx.nf) else None
   in
+  let pos = Array.make n 0 in
   let one_permutation p =
     let rng = Rng.of_path cfg.seed [ p ] in
     for i = n - 1 downto 1 do
@@ -340,31 +448,27 @@ let monte_carlo ctx tel =
       perm.(j) <- t
     done;
     if constant then ()
-    else if ctx.mono then begin
-      (* invariant: φ(prefix lo) = false, φ(prefix hi) = true *)
-      let lo = ref 0 and hi = ref n in
-      while !hi - !lo > 1 do
-        let mid = (!lo + !hi) / 2 in
-        set_prefix mid;
-        if eval ctx then hi := mid else lo := mid
-      done;
-      let pivot = perm.(!hi - 1) in
-      sums.(pivot) <- sums.(pivot) + 1;
-      sumsq.(pivot) <- sumsq.(pivot) + 1;
-      set_prefix 0
-    end
-    else begin
-      let prev = ref empty_true in
-      for i = 0 to n - 1 do
-        ctx.present.(perm.(i)) <- true;
-        let curv = eval ctx in
-        let d = b2i curv - b2i !prev in
-        sums.(perm.(i)) <- sums.(perm.(i)) + d;
-        sumsq.(perm.(i)) <- sumsq.(perm.(i)) + (d * d);
-        prev := curv
-      done;
-      Array.fill ctx.present 0 n false
-    end
+    else
+      match completion with
+      | Some c ->
+        for i = 0 to n - 1 do
+          pos.(perm.(i)) <- i
+        done;
+        incr ctx.evals;
+        let pivot = perm.(Completion.eval c pos) in
+        sums.(pivot) <- sums.(pivot) + 1;
+        sumsq.(pivot) <- sumsq.(pivot) + 1
+      | None ->
+        let prev = ref empty_true in
+        for i = 0 to n - 1 do
+          ctx.present.(perm.(i)) <- true;
+          let curv = eval ctx in
+          let d = b2i curv - b2i !prev in
+          sums.(perm.(i)) <- sums.(perm.(i)) + d;
+          sumsq.(perm.(i)) <- sumsq.(perm.(i)) + (d * d);
+          prev := curv
+        done;
+        Array.fill ctx.present 0 n false
   in
   let m = ref 0 in
   let hw = ref range in
@@ -734,3 +838,18 @@ let banzhaf ?(tel = Telemetry.disabled ()) cfg ~universe phi =
   in
   record_metrics tel report;
   report
+
+module For_tests = struct
+  let completion_time ~universe phi perm =
+    let ctx = make_ctx default universe phi in
+    if Array.length perm <> ctx.n then
+      invalid_arg "Sample.For_tests.completion_time: perm is not over the universe";
+    let pos = Array.make ctx.n (-1) in
+    Array.iteri
+      (fun i v ->
+         if v < 0 || v >= ctx.n || pos.(v) >= 0 then
+           invalid_arg "Sample.For_tests.completion_time: not a permutation";
+         pos.(v) <- i)
+      perm;
+    Completion.eval (Completion.of_nf ctx.nf) pos
+end

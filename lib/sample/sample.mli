@@ -13,10 +13,13 @@
 
     - {!Monte_carlo}: ApproShapley permutation sampling.  One uniform
       random permutation of the universe yields a marginal contribution
-      for {e every} fact at once (for monotone lineages exactly one fact
-      per permutation flips the query — found by binary search over
-      prefix lengths in [O(log n)] evaluations); the estimate for each
-      fact is the mean of its contributions.  One "draw" = one
+      for {e every} fact at once; the estimate for each fact is the mean
+      of its contributions.  For monotone lineages exactly one fact per
+      permutation flips the query: the pivot, found by one bottom-up
+      pass over the lineage that computes the position at which it
+      first holds (its completion time: [max] over [And], [min] over
+      [Or]).  Other lineages are re-evaluated after every fact of the
+      permutation.  One "draw" = one
       permutation, shared by all facts.  The strategy of choice at
       [n >= 10³].
     - {!Stratified}: per fact, the Shapley value is averaged over
@@ -111,7 +114,10 @@ type report = {
   total_draws : int;
       (** {!Monte_carlo}: shared permutations, counted once; otherwise
           the sum of per-fact draws *)
-  total_evals : int;  (** lineage evaluations performed *)
+  total_evals : int;
+      (** lineage passes performed: a truth-value evaluation counts one,
+          and so does a {!Monte_carlo} completion-time pass, which finds
+          a permutation's pivot in a single pass over the lineage *)
   max_half_width : Rational.t;
   all_converged : bool;
 }
@@ -176,4 +182,21 @@ module Rng : sig
       @raise Invalid_argument if [bound <= 0]. *)
 
   val bool : t -> bool
+end
+
+(** {1 Test hooks}
+
+    The bit-identity tests (test/test_sample.ml) pin the Monte-Carlo
+    pivot to a linear prefix walk.  Nothing in the library uses these. *)
+
+module For_tests : sig
+  val completion_time : universe:Fact.t list -> Bform.t -> int array -> int
+  (** [completion_time ~universe phi perm], where [perm] lists the
+      indices of [universe] in the order the facts are added, is the
+      least position [c] such that [phi] holds on the facts at positions
+      [0..c]: [-1] when [phi] holds on the empty set, [max_int] when it
+      fails on the whole universe.
+      @raise Invalid_argument if [phi] is not monotone (it mentions
+      [Not]), mentions a fact outside [universe], or [perm] is not a
+      permutation of the universe's indices. *)
 end

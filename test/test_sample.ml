@@ -146,6 +146,174 @@ let test_rng () =
     (try ignore (Sample.Rng.int (Sample.Rng.create 0) 0); false
      with Invalid_argument _ -> true)
 
+(* The first draws of three streams, taken before the generator state
+   moved into a byte buffer: a change of representation, never of the
+   stream.  The bound-1000 draws pin the low bits, the max_int draws all
+   63 the modulo sees, the bools the lowest. *)
+let rng_golden =
+  [
+    ( "create 0",
+      (fun () -> Sample.Rng.create 0),
+      [ 626; 193; 999; 154; 999; 260; 286; 510; 566; 947; 906; 347; 943; 61;
+        68; 253 ],
+      [ 1769507593459692626; 4274193211770899290; 787864682318576999;
+        3466781734296156251; 3126627477792070096; 3138457655752152260;
+        2608831844938546383; 2018103421601998510; 3342886638694869663;
+        2259278275755348044; 1929448863633857906; 3598633227721205444;
+        3205356386990062943; 3663519359287599158; 2345561898651324068;
+        2262009418627642350 ],
+      "0110011000001011" );
+    ( "create 42",
+      (fun () -> Sample.Rng.create 42),
+      [ 252; 517; 785; 806; 222; 864; 732; 141; 711; 634; 178; 928; 988; 683;
+        618; 185 ],
+      [ 3478562509951019252; 1169620635824522614; 1967093554598735882;
+        763792064520539806; 4288831751159908222; 4264337457364178864;
+        3159197941677591732; 1334772183619647141; 2202791004734127808;
+        1859310018494721731; 870244805267664275; 2305286654660194025;
+        1266131231559533988; 3488481203345425683; 1137525832993126618;
+        1327077419809440185 ],
+      "0001001000000111" );
+    ( "of_path 1 [3; 7]",
+      (fun () -> Sample.Rng.of_path 1 [ 3; 7 ]),
+      [ 374; 236; 717; 211; 978; 349; 591; 504; 8; 759; 936; 399; 164; 655;
+        939; 302 ],
+      [ 3470043256301567374; 2982407056596964236; 2529668883210536814;
+        3227292336721010308; 1374972827908666978; 2667341046587516446;
+        184825820849528688; 224483845978580601; 1625604103617478105;
+        4518454834182514759; 1568408416689310033; 1126820928771054496;
+        3110638492469610261; 1802930342443305752; 1831760277061476939;
+        4204389128473778302 ],
+      "1111100100001100" );
+  ]
+
+let test_rng_golden () =
+  List.iter
+    (fun (name, mk, ints, wide, bools) ->
+       let r = mk () in
+       Alcotest.(check (list int)) (name ^ ": int 1000") ints
+         (List.init 16 (fun _ -> Sample.Rng.int r 1000));
+       let r = mk () in
+       Alcotest.(check (list int)) (name ^ ": int max_int") wide
+         (List.init 16 (fun _ -> Sample.Rng.int r max_int));
+       let r = mk () in
+       Alcotest.(check string) (name ^ ": bool") bools
+         (String.init 16 (fun _ -> if Sample.Rng.bool r then '1' else '0')))
+    rng_golden
+
+(* ------------------------------------------------------------------ *)
+(* Monte-Carlo pivot                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A random monotone lineage over [n] facts — nested And/Or, repeated
+   variables, T/F leaves and empty connectives — and a random order of
+   the facts.  Its completion time must be one less than the length of
+   the shortest prefix on which [Bform.eval] holds, found by a linear
+   walk: the prefix the Monte-Carlo pivot reads. *)
+let prop_completion_time =
+  qcheck ~count:500 "completion time = first satisfying prefix - 1"
+    Gen.seed_gen
+    (fun seed ->
+       let st = Random.State.make [| seed |] in
+       let n = 1 + Random.State.int st 8 in
+       let universe = Array.init n (fun i -> fact "V" [ string_of_int i ]) in
+       let rec go depth =
+         match Random.State.int st (if depth = 0 then 10 else 14) with
+         | 0 -> Bform.True
+         | 1 -> Bform.False
+         | k when k < 10 -> Bform.Fv universe.(Random.State.int st n)
+         | k ->
+           let kids = List.init (Random.State.int st 4) (fun _ -> go (depth - 1)) in
+           if k < 12 then Bform.And kids else Bform.Or kids
+       in
+       let phi = go 4 in
+       let perm = Array.init n Fun.id in
+       for i = n - 1 downto 1 do
+         let j = Random.State.int st (i + 1) in
+         let t = perm.(i) in
+         perm.(i) <- perm.(j);
+         perm.(j) <- t
+       done;
+       let prefix k =
+         Fact.Set.of_list (List.init k (fun i -> universe.(perm.(i))))
+       in
+       let rec first k =
+         if k > n then max_int
+         else if Bform.eval phi (prefix k) then k - 1
+         else first (k + 1)
+       in
+       Sample.For_tests.completion_time ~universe:(Array.to_list universe) phi
+         perm
+       = first 0)
+
+let test_completion_guards () =
+  let f = fact "V" [ "0" ] in
+  let rejects name phi perm =
+    Alcotest.(check bool) name true
+      (try
+         ignore (Sample.For_tests.completion_time ~universe:[ f ] phi perm);
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejects "negation" (Bform.Not (Bform.Fv f)) [| 0 |];
+  rejects "short permutation" (Bform.Fv f) [||];
+  rejects "index outside the universe" (Bform.Fv f) [| 1 |]
+
+(* MD5 of every --strategy mc report field but [total_evals] (which
+   counts lineage passes, an implementation cost), on four monotone
+   families at seeds 0-2.  The digests were taken from a binary search
+   over prefix lengths, an independent way to find each permutation's
+   pivot.  Each run also pins the pass count: one per permutation, plus
+   the φ(∅) and φ(U) probes. *)
+let mc_golden =
+  [
+    ("star", 0, 120, "1599d4d42ca1b70cfbe85dfb62ca9505");
+    ("star", 1, 120, "7b22807078da0c61b7b496197651dd59");
+    ("star", 2, 120, "1e9ce09fbad43a582c69975200574e2e");
+    ("bipartite", 0, 8, "a484007415ce79826a967bc88002dd3f");
+    ("bipartite", 1, 8, "4207af94e3c3345948db965424f726b1");
+    ("bipartite", 2, 8, "deec85a86a85801122bda4365ae0d20c");
+    ("crpq", 0, 20, "2091ab19b5acd30fc7ef3a77c75cbb80");
+    ("crpq", 1, 20, "00ce3fe7c69253c46248b98d9cb688ea");
+    ("crpq", 2, 20, "c5452c0d7be6626eb2c7e825c32db3c1");
+    ("rpq-road", 0, 20, "32bde5680ab8071cde0a43553dc7f75c");
+    ("rpq-road", 1, 20, "634b4f7f7c35d9d4598e6c480e4de0e6");
+    ("rpq-road", 2, 20, "fae3401dd76a3336a4b6af60db88fbf0");
+  ]
+
+let mc_report ~family ~seed ~size =
+  let c = Workload.generate ~family ~seed ~size in
+  let cfg = Sample.config ~strategy:Sample.Monte_carlo ~seed () in
+  let e = Engine.create ~backend:(`Sample cfg) c.Workload.query c.Workload.db in
+  ignore (Engine.svc_all e);
+  Option.get (Engine.sample_report e)
+
+let report_digest (r : Sample.report) =
+  let lines =
+    Array.to_list
+      (Array.map
+         (fun (x : Sample.estimate) ->
+            Printf.sprintf "%s=%s hw=%s draws=%d converged=%b"
+              (Fact.to_string x.fact) (Rational.to_string x.value)
+              (Rational.to_string x.half_width) x.draws x.converged)
+         r.Sample.estimates)
+    @ [ Printf.sprintf "total_draws=%d max_hw=%s all_converged=%b"
+          r.Sample.total_draws
+          (Rational.to_string r.Sample.max_half_width)
+          r.Sample.all_converged ]
+  in
+  Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+let test_mc_golden () =
+  List.iter
+    (fun (family, seed, size, expected) ->
+       let name = Printf.sprintf "%s/%d/%d" family seed size in
+       let r = mc_report ~family ~seed ~size in
+       Alcotest.(check string) name expected (report_digest r);
+       Alcotest.(check int) (name ^ " passes") (r.Sample.total_draws + 2)
+         r.Sample.total_evals)
+    mc_golden
+
 (* ------------------------------------------------------------------ *)
 (* Config hygiene                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -358,6 +526,10 @@ let suite =
     Alcotest.test_case "hoeffding width" `Quick test_hoeffding;
     Alcotest.test_case "bernstein width" `Quick test_bernstein;
     Alcotest.test_case "seeded rng" `Quick test_rng;
+    Alcotest.test_case "rng golden streams" `Quick test_rng_golden;
+    prop_completion_time;
+    Alcotest.test_case "completion time guards" `Quick test_completion_guards;
+    Alcotest.test_case "mc report golden digests" `Quick test_mc_golden;
     Alcotest.test_case "strategy/bound strings" `Quick test_strings;
     Alcotest.test_case "config validation" `Quick test_validate;
     Alcotest.test_case "universe guards" `Quick test_universe_guard;
